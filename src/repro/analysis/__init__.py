@@ -33,6 +33,15 @@ re-exported here, so ``import repro.analysis`` stays light):
 * :mod:`repro.analysis.explore` — exhaustive DFS with sleep sets +
   fingerprint pruning, counterexample traces and their replayer.
 
+One front end serves every static pass: a :class:`ProgramIndex`
+(:mod:`repro.analysis.program`) parses each file once and keys one
+class table by class name (the last definition in sorted file order
+wins).  :func:`run_lint` builds one per run and gives each pass a view
+scoped to its files — lint and conformance: the whole package; commit
+points: ``core/``, ``datalet/``; flow: ``core/``, ``sharedlog/``,
+``cluster/``, ``client/pipeline.py`` — and every pass turns raw hits
+into findings with :func:`~repro.analysis.findings.finalize`.
+
 CLI front-ends: ``bespokv lint`` and ``bespokv check`` (see
 :mod:`repro.cli`); lint, conformance and a small-scope check smoke also
 run in CI before the test and soak jobs.
@@ -43,26 +52,34 @@ from __future__ import annotations
 from pathlib import Path
 from typing import List, Optional
 
+from repro.analysis import commitpoints, flow
 from repro.analysis.commitpoints import (
     CONTRACTS,
     CommitContract,
-    Waiver,
     ack_durable_for,
+    analyze_index,
     analyze_sources,
     analyze_tree,
     contract_for,
 )
-from repro.analysis.conformance import ProtocolModel, check_sources, check_tree
+from repro.analysis.conformance import (
+    ProtocolModel,
+    check_index,
+    check_sources,
+    check_tree,
+)
 from repro.analysis.flow import (
     FLOW_INJECTION_SOURCES,
     FLOW_RULES,
     FLOW_WAIVERS,
+    analyze_flow_index,
     analyze_flow_sources,
     analyze_flow_tree,
 )
 from repro.analysis.findings import (
     FINDINGS_SCHEMA,
     Finding,
+    Waiver,
     findings_to_json,
     format_findings,
     format_github,
@@ -71,9 +88,10 @@ from repro.analysis.findings import (
 from repro.analysis.lint import (
     DEFAULT_ALLOWLIST,
     PROTOCOL_PREFIXES,
+    lint_index,
     lint_source,
-    lint_tree,
 )
+from repro.analysis.program import ProgramIndex, package_root
 from repro.analysis.races import (
     PerturbationResult,
     RaceDetector,
@@ -88,8 +106,8 @@ __all__ = [
     "format_findings",
     "format_github",
     "summarize",
+    "ProgramIndex",
     "lint_source",
-    "lint_tree",
     "DEFAULT_ALLOWLIST",
     "PROTOCOL_PREFIXES",
     "ProtocolModel",
@@ -116,23 +134,19 @@ __all__ = [
 ]
 
 
-def package_root() -> Path:
-    """Directory of the installed ``repro`` package (the lint target)."""
-    import repro
-
-    return Path(repro.__file__).resolve().parent
-
-
 def run_lint(root: Optional[Path] = None, conformance: bool = True,
-             flow: bool = True) -> List[Finding]:
+             inject_flow_defects: bool = False) -> List[Finding]:
     """Run the determinism linter, the commit-point pass, the flow
     passes, and (optionally) the protocol checker over one package
-    tree; returns every finding, suppressed included."""
-    root = package_root() if root is None else Path(root)
-    findings = lint_tree(root)
-    findings.extend(analyze_tree(root))
-    if flow:
-        findings.extend(analyze_flow_tree(root))
+    tree, each on its view of one :class:`ProgramIndex`; returns every
+    finding, suppressed included.  ``inject_flow_defects`` also runs
+    the flow passes over :data:`FLOW_INJECTION_SOURCES`."""
+    index = ProgramIndex.from_root(root)
+    findings = lint_index(index)
+    findings.extend(analyze_index(commitpoints.scope(index)))
+    findings.extend(analyze_flow_index(flow.scope(index)))
     if conformance:
-        findings.extend(check_tree(root).findings())
+        findings.extend(check_index(index).findings())
+    if inject_flow_defects:
+        findings.extend(analyze_flow_index(index.view(FLOW_INJECTION_SOURCES)))
     return findings

@@ -66,10 +66,17 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.findings import Finding
-from repro.analysis.lint import DEFAULT_ALLOWLIST, _allowed_by_list, _parse_pragmas
+from repro.analysis.findings import Finding, RawFinding, Waiver, finalize
+from repro.analysis.lint import DEFAULT_ALLOWLIST
+from repro.analysis.program import (
+    ProgramIndex,
+    arg_or_kw,
+    closure_body,
+    const_str,
+    self_attr,
+)
 from repro.analysis.summaries import DATALET_READ_OPS
 
 __all__ = [
@@ -80,8 +87,10 @@ __all__ = [
     "CONTRACTS",
     "contract_for",
     "ack_durable_for",
+    "analyze_index",
     "analyze_sources",
     "analyze_tree",
+    "scope",
 ]
 
 #: message types that carry a client write through the system — the
@@ -106,17 +115,6 @@ _PATH_CAP = 192
 # ----------------------------------------------------------------------
 # The per-combo durability contract
 # ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Waiver:
-    """One declared-legal analyzer finding: ``cls``'s ``rule`` pattern
-    is part of the combo's contract for the ``condition`` stated."""
-
-    cls: str
-    rule: str
-    condition: str
-    reason: str
-
 
 @dataclass(frozen=True)
 class CommitContract:
@@ -221,62 +219,6 @@ def ack_durable_for(combo: str, wal_sync_every: int = 1) -> bool:
 
 
 # ----------------------------------------------------------------------
-# class table (with file attribution, unlike summaries._collect_classes)
-# ----------------------------------------------------------------------
-
-@dataclass
-class _Cls:
-    name: str
-    bases: List[str]
-    methods: Dict[str, ast.AST]
-    file: str
-
-
-def _collect(sources: Iterable[Tuple[str, str]]) -> Dict[str, _Cls]:
-    out: Dict[str, _Cls] = {}
-    for rel, source in sources:
-        tree = ast.parse(source)
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            bases = [
-                b.id if isinstance(b, ast.Name) else getattr(b, "attr", "")
-                for b in node.bases
-            ]
-            methods = {
-                item.name: item
-                for item in node.body
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-            }
-            out[node.name] = _Cls(node.name, bases, methods, rel)
-    return out
-
-
-def _ancestry(classes: Dict[str, _Cls], cls: str) -> List[str]:
-    order: List[str] = []
-    seen: Set[str] = set()
-    stack = [cls]
-    while stack:
-        cur = stack.pop(0)
-        if cur in seen:
-            continue
-        seen.add(cur)
-        order.append(cur)
-        if cur in classes:
-            stack.extend(classes[cur].bases)
-    return order
-
-
-def _resolve(classes: Dict[str, _Cls], cls: str, name: str):
-    """(funcdef, defining file) along the name-based base chain."""
-    for anc in _ancestry(classes, cls):
-        c = classes.get(anc)
-        if c is not None and name in c.methods:
-            return c.methods[name], c.file
-    return None, None
-
-
-# ----------------------------------------------------------------------
 # effect-trace tracer
 # ----------------------------------------------------------------------
 
@@ -336,31 +278,13 @@ def _contains_settle(node: ast.AST) -> bool:
     return False
 
 
-def _const_str(node: Optional[ast.expr]):
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value
-    return None
-
-
-def _arg_or_kw(call: ast.Call, pos: int, kw: str) -> Optional[ast.expr]:
-    if len(call.args) > pos:
-        return call.args[pos]
-    for k in call.keywords:
-        if k.arg == kw:
-            return k.value
-    return None
-
-
 def _is_wal_test(test: ast.expr):
     """``self.wal is not None`` -> "present"; ``self.wal is None`` ->
     "absent"; anything else -> None (fork both arms)."""
     if (isinstance(test, ast.Compare) and len(test.ops) == 1
             and isinstance(test.comparators[0], ast.Constant)
             and test.comparators[0].value is None
-            and isinstance(test.left, ast.Attribute)
-            and test.left.attr == "wal"
-            and isinstance(test.left.value, ast.Name)
-            and test.left.value.id == "self"):
+            and self_attr(test.left) == "wal"):
         if isinstance(test.ops[0], ast.IsNot):
             return "present"
         if isinstance(test.ops[0], ast.Is):
@@ -371,8 +295,8 @@ def _is_wal_test(test: ast.expr):
 class _Tracer:
     """Path-forking walk of one entry handler on one concrete class."""
 
-    def __init__(self, classes: Dict[str, _Cls], cls: str, entry: str):
-        self.classes = classes
+    def __init__(self, index: ProgramIndex, cls: str, entry: str):
+        self.index = index
         self.cls = cls
         self.entry = entry
         self._eid = 0
@@ -406,12 +330,11 @@ class _Tracer:
             if isinstance(val, _Callable):
                 return val
             return None
-        if (isinstance(node, ast.Attribute)
-                and isinstance(node.value, ast.Name)
-                and node.value.id == "self"):
-            fn, file = _resolve(self.classes, frame.cls, node.attr)
+        attr = self_attr(node)
+        if attr is not None:
+            fn, owner = self.index.resolve(frame.cls, attr)
             if fn is not None:
-                return _Callable(fn, {}, file)
+                return _Callable(fn, {}, owner.file)
         return None
 
     # -- statement walk ------------------------------------------------
@@ -523,9 +446,7 @@ class _Tracer:
             base = f.value
             if isinstance(base, ast.Name) and base.id == "self":
                 return self._do_self_call(node, f.attr, ctx, frame)
-            if (isinstance(base, ast.Attribute)
-                    and isinstance(base.value, ast.Name)
-                    and base.value.id == "self"):
+            if self_attr(base) is not None:
                 if base.attr == "wal" and f.attr in (
                         "append", "sync", "install_snapshot"):
                     self._effect(ctx, frame, node, {"durable"},
@@ -544,7 +465,7 @@ class _Tracer:
         if attr == "ack":
             self._ack(ctx, frame, node, ".ack()")
         elif attr == "finish":
-            t = _const_str(_arg_or_kw(node, 0, "type"))
+            t = const_str(arg_or_kw(node, 0, "type"))
             # a dynamic type forwards a (usually successful) upstream
             # response — the completion convention makes it an ack
             if t != "error":
@@ -569,12 +490,12 @@ class _Tracer:
 
     def _do_self_call(self, node, attr, ctx, frame):
         if attr in ("respond",):
-            t = _const_str(_arg_or_kw(node, 1, "type"))
+            t = const_str(arg_or_kw(node, 1, "type"))
             if t is not None and t != "error":
                 self._ack(ctx, frame, node, f'self.respond(_, "{t}")')
             return [(ctx, "fell")]
         if attr == "datalet_call":
-            op = _const_str(_arg_or_kw(node, 0, "type"))
+            op = const_str(arg_or_kw(node, 0, "type"))
             effect = None
             if op is None or op not in DATALET_READ_OPS:
                 effect = self._effect(
@@ -582,7 +503,7 @@ class _Tracer:
                     f"datalet_call({op or '<dynamic>'})")
             return self._after_emit(node, ctx, frame, effect)
         if attr == "call":
-            t = _const_str(_arg_or_kw(node, 1, "type"))
+            t = const_str(arg_or_kw(node, 1, "type"))
             effect = None
             if t in REPL_TYPES:
                 kinds = ({"repl", "durable"}
@@ -591,22 +512,20 @@ class _Tracer:
                 effect = self._effect(ctx, frame, node, kinds, f"call({t})")
             return self._after_emit(node, ctx, frame, effect)
         if attr == "send":
-            t = _const_str(_arg_or_kw(node, 1, "type"))
-            tgt = _arg_or_kw(node, 0, "target")
+            t = const_str(arg_or_kw(node, 1, "type"))
+            tgt = arg_or_kw(node, 0, "target")
             if t in REPL_TYPES:
                 kinds = ({"repl", "durable"}
                          if t in ("log_append", "log_append_batch")
                          else {"repl"})
                 self._effect(ctx, frame, node, kinds, f"send({t})")
-            elif (isinstance(tgt, ast.Attribute) and tgt.attr == "datalet"
-                    and isinstance(tgt.value, ast.Name)
-                    and tgt.value.id == "self"
+            elif (self_attr(tgt) == "datalet"
                     and (t is None or t not in DATALET_READ_OPS)):
                 self._effect(ctx, frame, node, {"durable"},
                              f"send(self.datalet, {t or '<dynamic>'})")
             return [(ctx, "fell")]
         if attr == "set_timer":
-            cb_node = _arg_or_kw(node, 1, "callback")
+            cb_node = arg_or_kw(node, 1, "callback")
             cb = self._resolve_callable(cb_node, ctx, frame) if cb_node is not None else None
             if cb is not None:
                 ctx.deferred.append(("call", cb))
@@ -629,7 +548,7 @@ class _Tracer:
             #   effects (the local apply).  Skipping this fork would
             #   hide injections that defer the apply and ack at the
             #   tail.
-            cb_node = _arg_or_kw(node, 1, "done")
+            cb_node = arg_or_kw(node, 1, "done")
             cb = (self._resolve_callable(cb_node, ctx, frame)
                   if cb_node is not None else None)
             tail_ctx = ctx.clone()
@@ -648,7 +567,7 @@ class _Tracer:
                 results.append((c, "fell" if st == "return" else st))
             return results
         # generic same-class helper: inline with parameter binding
-        fn, file = _resolve(self.classes, frame.cls, attr)
+        fn, owner = self.index.resolve(frame.cls, attr)
         if fn is None:
             return [(ctx, "fell")]
         key = (frame.cls, attr)
@@ -668,7 +587,7 @@ class _Tracer:
                     v = self._resolve_callable(k.value, ctx, frame)
                     if v is not None:
                         env[k.arg] = v
-            sub = replace(frame, file=file)
+            sub = replace(frame, file=owner.file)
             results = []
             for c, st in self._walk_sub(fn.body, ctx, env, sub):
                 results.append((c, "fell" if st == "return" else st))
@@ -712,16 +631,9 @@ class _Tracer:
 
     def _walk_callable(self, cb: _Callable, ctx, frame):
         env = dict(cb.env)
-        node = cb.node
-        if isinstance(node, ast.Lambda):
-            for a in node.args.args:
-                env.pop(a.arg, None)
-            body = [ast.Expr(value=node.body)]
-        else:
-            for a in node.args.args:
-                env.pop(a.arg, None)
-            body = list(node.body)
-        return self._walk_sub(body, ctx, env, frame)
+        for a in cb.node.args.args:
+            env.pop(a.arg, None)
+        return self._walk_sub(closure_body(cb.node), ctx, env, frame)
 
     def _walk_sub(self, body, ctx, env, frame):
         """Walk a nested frame: swap ``env`` in, restore the caller's
@@ -771,12 +683,12 @@ class _Tracer:
     # -- top level -----------------------------------------------------
 
     def trace(self, method: str) -> List[_PathCtx]:
-        fn, file = _resolve(self.classes, self.cls, method)
+        fn, owner = self.index.resolve(self.cls, method)
         if fn is None:
             return []
         self._inline.add((self.cls, method))
         ctx = _PathCtx()
-        frame = _Frame(self.cls, file, covered=frozenset(),
+        frame = _Frame(self.cls, owner.file, covered=frozenset(),
                        awaited_durable=False)
         paths: List[_PathCtx] = []
         for c, _st in self._walk_block(list(fn.body), ctx, frame):
@@ -788,35 +700,27 @@ class _Tracer:
 # entry discovery + rule evaluation
 # ----------------------------------------------------------------------
 
-def _registrations(classes: Dict[str, _Cls], cls: str) -> Dict[str, str]:
+def _registrations(index: ProgramIndex, cls: str) -> Dict[str, str]:
     """msg type -> handler method, most-derived registration winning."""
     bindings: Dict[str, str] = {}
-    for anc in _ancestry(classes, cls):
-        c = classes.get(anc)
-        if c is None:
-            continue
-        for m in c.methods.values():
+    for anc in index.ancestry(cls):
+        for m in index.methods(anc).values():
             for node in ast.walk(m):
                 if not (isinstance(node, ast.Call)
-                        and isinstance(node.func, ast.Attribute)
-                        and node.func.attr == "register"
-                        and isinstance(node.func.value, ast.Name)
-                        and node.func.value.id == "self"
+                        and self_attr(node.func) == "register"
                         and len(node.args) >= 2):
                     continue
-                t = _const_str(node.args[0])
-                h = node.args[1]
-                if (t is not None and isinstance(h, ast.Attribute)
-                        and isinstance(h.value, ast.Name)
-                        and h.value.id == "self"):
-                    bindings.setdefault(t, h.attr)
+                t = const_str(node.args[0])
+                h = self_attr(node.args[1])
+                if t is not None and h is not None:
+                    bindings.setdefault(t, h)
     return bindings
 
 
-def _entries(classes: Dict[str, _Cls], cls: str) -> Dict[str, str]:
+def _entries(index: ProgramIndex, cls: str) -> Dict[str, str]:
     """Write-path entry methods for a concrete class."""
     out: Dict[str, str] = {}
-    for t, method in _registrations(classes, cls).items():
+    for t, method in _registrations(index, cls).items():
         if t not in WRITE_CHAIN_TYPES:
             continue
         if method == "_client_op":
@@ -828,24 +732,15 @@ def _entries(classes: Dict[str, _Cls], cls: str) -> Dict[str, str]:
     return out
 
 
-@dataclass
-class _Raw:
-    file: str
-    line: int
-    rule: str
-    message: str
-    waived_by: Optional[Waiver] = None
-
-
-def _evaluate(classes: Dict[str, _Cls], cls: str,
-              waivers: Sequence[Waiver]) -> List[_Raw]:
-    raws: List[_Raw] = []
-    ancestry = set(_ancestry(classes, cls))
+def _evaluate(index: ProgramIndex, cls: str,
+              waivers: Sequence[Waiver]) -> List[RawFinding]:
+    raws: List[RawFinding] = []
+    ancestry = set(index.ancestry(cls))
     applicable = {
         (w.rule): w for w in waivers if w.cls in ancestry
     }
-    for msg_type, method in sorted(_entries(classes, cls).items()):
-        tracer = _Tracer(classes, cls, msg_type)
+    for msg_type, method in sorted(_entries(index, cls).items()):
+        tracer = _Tracer(index, cls, msg_type)
         for path in tracer.trace(method):
             for i, e in enumerate(path.effects):
                 if "ack" not in e.kinds:
@@ -855,7 +750,7 @@ def _evaluate(classes: Dict[str, _Cls], cls: str,
                     for p in path.effects[:i]
                 )
                 if not (durable_prefix or e.awaited_durable):
-                    raws.append(_Raw(
+                    raws.append(RawFinding(
                         e.file, e.line, "ack-before-durable",
                         f"{cls} [{msg_type}]: client ack ({e.desc}) can "
                         "precede every durable effect on this path — a "
@@ -868,7 +763,7 @@ def _evaluate(classes: Dict[str, _Cls], cls: str,
                     if "repl" in p.kinds and p.eid not in e.covered
                 })
                 if uncovered:
-                    raws.append(_Raw(
+                    raws.append(RawFinding(
                         e.file, e.line, "ack-before-replication",
                         f"{cls} [{msg_type}]: ack ({e.desc}) does not "
                         f"await replication effect(s) "
@@ -878,60 +773,40 @@ def _evaluate(classes: Dict[str, _Cls], cls: str,
     return raws
 
 
+def analyze_index(
+    index: ProgramIndex,
+    allowlist: Optional[Dict[str, Set[str]]] = None,
+    waivers: Sequence[Waiver] = ALL_WAIVERS,
+) -> List[Finding]:
+    """Run the commit-point pass over every class of ``index``."""
+    raws: List[RawFinding] = []
+    for cls in sorted(index.classes):
+        anc = index.ancestry(cls)
+        if not any(any(b in a for b in _ANALYZED_BASES) for a in anc):
+            continue
+        raws.extend(_evaluate(index, cls, waivers))
+    return finalize(raws, index,
+                    DEFAULT_ALLOWLIST if allowlist is None else allowlist,
+                    waiver_tag="contract waiver")
+
+
 def analyze_sources(
     sources: List[Tuple[str, str]],
     allowlist: Optional[Dict[str, Set[str]]] = None,
     waivers: Sequence[Waiver] = ALL_WAIVERS,
 ) -> List[Finding]:
     """Run the commit-point pass over ``(rel_path, source)`` pairs."""
-    allowlist = DEFAULT_ALLOWLIST if allowlist is None else allowlist
-    classes = _collect(sources)
-    src_by_file = dict(sources)
-    pragmas = {rel: _parse_pragmas(src) for rel, src in sources}
+    return analyze_index(ProgramIndex(sources), allowlist, waivers)
 
-    raws: List[_Raw] = []
-    for cls in sorted(classes):
-        anc = _ancestry(classes, cls)
-        if not any(any(b in a for b in _ANALYZED_BASES) for a in anc):
-            continue
-        raws.extend(_evaluate(classes, cls, waivers))
 
-    # dedup (forked paths and sibling classes rediscover the same ack);
-    # an unsuppressed occurrence outranks a waived one
-    best: Dict[Tuple[str, int, str], Finding] = {}
-    for raw in raws:
-        if raw.file not in src_by_file:
-            continue  # ack inherited from a file outside this run
-        line_rules = (pragmas[raw.file].get(raw.line, set())
-                      | pragmas[raw.file].get(raw.line - 1, set()))
-        file_allowed = _allowed_by_list(raw.file, allowlist)
-        suppressed = (raw.rule in file_allowed or raw.rule in line_rules
-                      or "*" in line_rules)
-        message = raw.message
-        if raw.waived_by is not None:
-            suppressed = True
-            message += (f" [contract waiver: {raw.waived_by.condition} — "
-                        f"{raw.waived_by.reason}]")
-        finding = Finding(path=raw.file, line=raw.line, rule=raw.rule,
-                          message=message, suppressed=suppressed)
-        key = (raw.file, raw.line, raw.rule)
-        prev = best.get(key)
-        if prev is None or (prev.suppressed and not suppressed):
-            best[key] = finding
-    return sorted(best.values(), key=lambda f: (f.path, f.line, f.rule))
+def scope(index: ProgramIndex) -> ProgramIndex:
+    """The pass's view of a whole-package index: ``core/`` + ``datalet/``
+    (injection subclasses under ``analysis/`` are analyzed only through
+    :func:`analyze_sources`, e.g. by the seeded must-fail tests)."""
+    return index.view(index.dir_files("core", "datalet"))
 
 
 def analyze_tree(root: Path,
                  allowlist: Optional[Dict[str, Set[str]]] = None) -> List[Finding]:
-    """Commit-point findings for the protocol portion of the package
-    (``core/`` + ``datalet/`` — injection subclasses under ``analysis/``
-    are analyzed only when passed to :func:`analyze_sources` directly,
-    e.g. by the seeded must-fail regression test)."""
-    root = Path(root)
-    files: List[Path] = []
-    for sub in ("core", "datalet"):
-        d = root / sub
-        if d.is_dir():
-            files.extend(sorted(d.glob("*.py")))
-    sources = [(p.relative_to(root).as_posix(), p.read_text()) for p in files]
-    return analyze_sources(sources, allowlist=allowlist)
+    """Commit-point findings for the package under ``root``."""
+    return analyze_index(scope(ProgramIndex.from_root(root)), allowlist)

@@ -40,16 +40,14 @@ checks rather than guessed at.
 from __future__ import annotations
 
 import ast
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.analysis.findings import Finding
+from repro.analysis.program import ProgramIndex, self_attr
 
-__all__ = ["ProtocolModel", "check_tree", "check_sources"]
-
-_EXTERNAL_PRAGMA = re.compile(r"#\s*protocol:\s*external\b")
+__all__ = ["ProtocolModel", "check_index", "check_tree", "check_sources"]
 
 #: methods that put their message-type argument on the wire, with the
 #: positional index of that argument (``self`` excluded).  These are the
@@ -285,11 +283,7 @@ class _Collector(ast.NodeVisitor):
         handler = "<dynamic>"
         if len(node.args) > 1:
             h = node.args[1]
-            if (
-                isinstance(h, ast.Attribute)
-                and isinstance(h.value, ast.Name)
-                and h.value.id == "self"
-            ):
+            if self_attr(h) is not None:
                 handler = h.attr
             elif isinstance(h, ast.Lambda):
                 handler = "<lambda>"
@@ -374,29 +368,23 @@ def _propagate(model: ProtocolModel, forwarders: Dict[str, List[_Forwarder]],
             return
 
 
-def check_sources(
-    sources: Iterable[Tuple[str, str]],
-) -> ProtocolModel:
-    """Analyze ``(rel_path, source)`` pairs as one protocol universe."""
+def check_index(index: ProgramIndex) -> ProtocolModel:
+    """Analyze every file of ``index`` as one protocol universe."""
     model = ProtocolModel()
     forwarders: Dict[str, List[_Forwarder]] = {}
     sites: List[_CallSite] = []
-    for rel, source in sources:
-        external_lines = {
-            lineno
-            for lineno, text in enumerate(source.splitlines(), start=1)
-            if _EXTERNAL_PRAGMA.search(text)
-        }
-        tree = ast.parse(source)
-        _Collector(rel, model, forwarders, sites, external_lines).visit(tree)
+    for rel, src in index.files.items():
+        _Collector(rel, model, forwarders, sites,
+                   src.external_lines).visit(src.tree)
     _propagate(model, forwarders, sites)
     return model
 
 
-def check_tree(root: Path, files: Optional[Iterable[Path]] = None) -> ProtocolModel:
+def check_sources(sources: Iterable[Tuple[str, str]]) -> ProtocolModel:
+    """Analyze ``(rel_path, source)`` pairs as one protocol universe."""
+    return check_index(ProgramIndex(sources))
+
+
+def check_tree(root: Path) -> ProtocolModel:
     """Conformance-check every ``*.py`` under the package root."""
-    root = Path(root)
-    targets = sorted(files) if files is not None else sorted(root.rglob("*.py"))
-    return check_sources(
-        (p.relative_to(root).as_posix(), p.read_text()) for p in targets
-    )
+    return check_index(ProgramIndex.from_root(root))

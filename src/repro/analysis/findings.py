@@ -8,17 +8,23 @@ Three renderings of the same finding list:
   and the model checker's counterexample metadata;
 * :func:`format_github` — GitHub Actions workflow commands
   (``::error file=...``) so CI annotates the offending lines inline.
+
+:func:`finalize` is the one place a pass's raw hits become findings:
+pragma and allowlist suppression, declared waivers, dedup and order.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
-from typing import Dict, List
+from dataclasses import asdict, dataclass
+from typing import Dict, Iterable, List, Mapping, Optional, Set
 
 __all__ = [
     "FINDINGS_SCHEMA",
     "Finding",
+    "RawFinding",
+    "Waiver",
+    "finalize",
     "findings_to_json",
     "format_findings",
     "format_github",
@@ -53,6 +59,64 @@ class Finding:
 
     def to_dict(self) -> Dict:
         return asdict(self)
+
+
+@dataclass(frozen=True)
+class Waiver:
+    """One declared-legal analyzer finding: ``cls``'s ``rule`` pattern
+    is part of the combo's contract for the ``condition`` stated."""
+
+    cls: str
+    rule: str
+    condition: str
+    reason: str
+
+
+@dataclass
+class RawFinding:
+    """A pass's hit before suppression; ``cls`` names the class whose
+    analysis produced it (the key waiver tables match on)."""
+
+    file: str
+    line: int
+    rule: str
+    message: str
+    cls: str = ""
+    waived_by: Optional[Waiver] = None
+
+
+def finalize(raws: Iterable[RawFinding], index,
+             allowlist: Optional[Mapping[str, Set[str]]] = None,
+             waiver_tag: str = "waiver", dedup: bool = True) -> List[Finding]:
+    """Sorted findings for the hits inside ``index`` (a ProgramIndex).
+
+    A hit is suppressed by a ``# lint: allow[rule]`` (or ``allow[*]``)
+    pragma on its line or the line above, an ``allowlist`` path-prefix
+    entry, or its waiver (tagged onto the message for audits).  With
+    ``dedup``, hits at one ``(file, line, rule)`` collapse into one
+    finding; an unsuppressed hit beats a waived one.
+    """
+    best: Dict[object, Finding] = {}
+    for n, raw in enumerate(raws):
+        src = index.files.get(raw.file)
+        if src is None:
+            continue  # inlined from a file outside the pass's scope
+        line_rules = (src.pragmas.get(raw.line, set())
+                      | src.pragmas.get(raw.line - 1, set()))
+        suppressed = raw.rule in line_rules or "*" in line_rules or any(
+            raw.rule in rules and raw.file.startswith(prefix)
+            for prefix, rules in (allowlist or {}).items())
+        message = raw.message
+        if raw.waived_by is not None:
+            suppressed = True
+            message += (f" [{waiver_tag}: {raw.waived_by.condition} — "
+                        f"{raw.waived_by.reason}]")
+        key = (raw.file, raw.line, raw.rule) if dedup else n
+        prev = best.get(key)
+        if prev is None or (prev.suppressed and not suppressed):
+            best[key] = Finding(path=raw.file, line=raw.line, rule=raw.rule,
+                                message=message, suppressed=suppressed)
+    return sorted(best.values(), key=lambda f: (f.path, f.line, f.rule))
 
 
 def format_findings(findings: List[Finding]) -> str:

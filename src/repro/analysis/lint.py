@@ -64,17 +64,16 @@ Escapes, both auditable via ``repro lint --show-suppressed``:
 from __future__ import annotations
 
 import ast
-import re
-from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from repro.analysis.findings import Finding
+from repro.analysis.findings import Finding, RawFinding, finalize
+from repro.analysis.program import ProgramIndex
 
 __all__ = [
     "DEFAULT_ALLOWLIST",
     "PROTOCOL_PREFIXES",
+    "lint_index",
     "lint_source",
-    "lint_tree",
 ]
 
 #: Directories (relative to the package root) holding code that runs on
@@ -109,8 +108,6 @@ DEFAULT_ALLOWLIST: Dict[str, Set[str]] = {
     "net/tcp.py": {"wallclock"},
     "sim/rng.py": {"adhoc-rng"},
 }
-
-_PRAGMA = re.compile(r"#\s*lint:\s*allow\[([^\]]*)\]")
 
 _WALLCLOCK_TIME = {
     "time", "time_ns", "monotonic", "monotonic_ns", "perf_counter",
@@ -157,17 +154,6 @@ def _harvest_payload_names(node: ast.expr, out: Set[str]) -> None:
     elif isinstance(node, (ast.List, ast.Tuple)):
         for v in node.elts:
             _harvest_payload_names(v, out)
-
-
-def _parse_pragmas(source: str) -> Dict[int, Set[str]]:
-    """Map line number -> rules allowed by a ``# lint: allow[...]``."""
-    out: Dict[int, Set[str]] = {}
-    for lineno, text in enumerate(source.splitlines(), start=1):
-        m = _PRAGMA.search(text)
-        if m:
-            rules = {r.strip() for r in m.group(1).split(",") if r.strip()}
-            out[lineno] = rules
-    return out
 
 
 class _Imports:
@@ -288,14 +274,15 @@ class _Linter(ast.NodeVisitor):
         self.imports = imports
         self.protocol = protocol
         self.sets = sets
-        self.findings: List[Tuple[int, str, str]] = []  # (line, rule, message)
+        self.findings: List[RawFinding] = []
         #: comprehension nodes whose iteration order provably cannot
         #: escape (direct argument of an order-insensitive call)
         self._blessed: Set[int] = set()
         self._func_depth = 0
 
     def _flag(self, node: ast.AST, rule: str, message: str) -> None:
-        self.findings.append((getattr(node, "lineno", 0), rule, message))
+        self.findings.append(RawFinding(self.rel_path, getattr(node, "lineno", 0),
+                                        rule, message))
 
     # -- mutable-payload (function-scope aliasing heuristic) -----------
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
@@ -351,8 +338,8 @@ class _Linter(ast.NodeVisitor):
                 for s in sends.get(name, ())
             )
             if live:
-                self.findings.append((
-                    lineno, "mutable-payload",
+                self.findings.append(RawFinding(
+                    self.rel_path, lineno, "mutable-payload",
                     f"{how} mutates {name!r} after it was aliased into a "
                     "sent payload; the fabric passes payloads by reference "
                     "so the receiver shares this object — send a copy or "
@@ -513,12 +500,22 @@ class _Linter(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def _allowed_by_list(rel_path: str, allowlist: Dict[str, Set[str]]) -> Set[str]:
-    allowed: Set[str] = set()
-    for prefix, rules in allowlist.items():
-        if rel_path == prefix or rel_path.startswith(prefix):
-            allowed |= rules
-    return allowed
+def lint_index(
+    index: ProgramIndex,
+    allowlist: Optional[Dict[str, Set[str]]] = None,
+) -> List[Finding]:
+    """Lint every file of ``index``; each file's path decides rule scope."""
+    raws: List[RawFinding] = []
+    for rel, src in index.files.items():
+        sets = _SetInference()
+        sets.visit(src.tree)
+        linter = _Linter(rel, _Imports(src.tree),
+                         rel.startswith(PROTOCOL_PREFIXES), sets)
+        linter.visit(src.tree)
+        raws.extend(linter.findings)
+    return finalize(raws, index,
+                    DEFAULT_ALLOWLIST if allowlist is None else allowlist,
+                    dedup=False)
 
 
 def lint_source(
@@ -527,38 +524,4 @@ def lint_source(
     allowlist: Optional[Dict[str, Set[str]]] = None,
 ) -> List[Finding]:
     """Lint one module's source; ``rel_path`` decides rule scope."""
-    allowlist = DEFAULT_ALLOWLIST if allowlist is None else allowlist
-    tree = ast.parse(source)
-    imports = _Imports(tree)
-    sets = _SetInference()
-    sets.visit(tree)
-    protocol = rel_path.startswith(PROTOCOL_PREFIXES)
-    linter = _Linter(rel_path, imports, protocol, sets)
-    linter.visit(tree)
-
-    pragmas = _parse_pragmas(source)
-    file_allowed = _allowed_by_list(rel_path, allowlist)
-    out: List[Finding] = []
-    for line, rule, message in linter.findings:
-        line_rules = pragmas.get(line, set()) | pragmas.get(line - 1, set())
-        suppressed = (
-            rule in file_allowed or rule in line_rules or "*" in line_rules
-        )
-        out.append(Finding(path=rel_path, line=line, rule=rule,
-                           message=message, suppressed=suppressed))
-    return out
-
-
-def lint_tree(
-    root: Path,
-    allowlist: Optional[Dict[str, Set[str]]] = None,
-    files: Optional[Iterable[Path]] = None,
-) -> List[Finding]:
-    """Lint every ``*.py`` under ``root`` (the ``repro`` package dir)."""
-    root = Path(root)
-    targets = sorted(files) if files is not None else sorted(root.rglob("*.py"))
-    findings: List[Finding] = []
-    for path in targets:
-        rel = path.relative_to(root).as_posix()
-        findings.extend(lint_source(path.read_text(), rel, allowlist))
-    return findings
+    return lint_index(ProgramIndex([(rel_path, source)]), allowlist)

@@ -36,7 +36,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.analysis.conformance import check_sources, check_tree
+from repro.analysis.conformance import check_index
+from repro.analysis.program import ProgramIndex, arg_or_kw, const_str, self_attr
 
 __all__ = [
     "DATALET_ATTR",
@@ -44,6 +45,8 @@ __all__ = [
     "HandlerFootprint",
     "ClassSummary",
     "SummaryTable",
+    "build_from_index",
+    "build_from_sources",
     "build_summaries",
     "datalet_footprint",
 ]
@@ -193,15 +196,7 @@ class _MethodScanner(ast.NodeVisitor):
         under the checker, so the engine op belongs to the handler's
         footprint (a remote target makes this an over-approximation —
         conservative in the safe direction)."""
-        op = None
-        if node.args and isinstance(node.args[0], ast.Constant) \
-                and isinstance(node.args[0].value, str):
-            op = node.args[0].value
-        else:
-            for kw in node.keywords:
-                if kw.arg == "type" and isinstance(kw.value, ast.Constant) \
-                        and isinstance(kw.value.value, str):
-                    op = kw.value.value
+        op = const_str(arg_or_kw(node, 0, "type"))
         if op in DATALET_READ_OPS:
             self.reads.add(DATALET_ATTR)
         elif op is not None:
@@ -212,15 +207,14 @@ class _MethodScanner(ast.NodeVisitor):
 
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
-        if isinstance(func, ast.Attribute) and self._is_self(func.value):
+        if self_attr(func) is not None:
             # self.method(...) — resolved transitively by the builder
             if func.attr == "datalet_call":
                 self._scan_datalet_call(node)
             if func.attr not in _EMIT_METHODS:
                 self.calls.add(func.attr)
             self.reads.discard(func.attr)
-        elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Attribute) \
-                and self._is_self(func.value.value):
+        elif isinstance(func, ast.Attribute) and self_attr(func.value) is not None:
             # self.attr.method(...): a mutating container call writes the
             # attribute; we cannot tell mutators from pure reads reliably,
             # so count it as BOTH read and write (conservative).
@@ -240,103 +234,50 @@ class _MethodScanner(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-@dataclass
-class _ClassAst:
-    name: str
-    bases: List[str]
-    methods: Dict[str, ast.AST]
-
-
-def _collect_classes(sources: Iterable[Tuple[str, str]]) -> Dict[str, _ClassAst]:
-    out: Dict[str, _ClassAst] = {}
-    for _rel, source in sources:
-        tree = ast.parse(source)
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            bases = [
-                b.id if isinstance(b, ast.Name) else getattr(b, "attr", "")
-                for b in node.bases
-            ]
-            methods = {
-                item.name: item
-                for item in node.body
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-            }
-            out[node.name] = _ClassAst(node.name, bases, methods)
-    return out
-
-
-def _resolve_method(classes: Dict[str, _ClassAst], cls: str, name: str):
-    """Walk the (name-based) base-class chain for a method definition."""
-    seen: Set[str] = set()
-    stack = [cls]
-    while stack:
-        cur = stack.pop(0)
-        if cur in seen or cur not in classes:
-            continue
-        seen.add(cur)
-        if name in classes[cur].methods:
-            return classes[cur].methods[name]
-        stack.extend(classes[cur].bases)
-    return None
-
-
-def _pump_bindings(classes: Dict[str, _ClassAst], cls: str) -> Dict[str, str]:
+def _pump_bindings(index: ProgramIndex, cls: str) -> Dict[str, str]:
     """``attr -> issue method`` for every ``self.<attr> = Pump(self.<m>)``
     along the ancestry (the canonical one-in-flight drain helper from
     core/controlet.py).  Issue callables that are not plain self-method
     references (e.g. local closures) resolve to nothing here — their
     effects are already folded in because the scanner visits nested
-    defs — so only the cross-method indirection needs the table."""
+    defs — so only the cross-method indirection needs the table.
+    Memoized per class through :meth:`ProgramIndex.fact`."""
     out: Dict[str, str] = {}
-    for ancestor in _ancestry(classes, cls):
-        if ancestor not in classes:
-            continue
-        for node in classes[ancestor].methods.values():
+    for ancestor in index.ancestry(cls):
+        for node in index.methods(ancestor).values():
             for n in ast.walk(node):
                 if not (isinstance(n, ast.Assign) and isinstance(n.value, ast.Call)
                         and isinstance(n.value.func, ast.Name)
                         and n.value.func.id == "Pump"):
                     continue
-                issue = n.value.args[0] if n.value.args else next(
-                    (kw.value for kw in n.value.keywords if kw.arg == "issue"),
-                    None,
-                )
-                if not (isinstance(issue, ast.Attribute)
-                        and isinstance(issue.value, ast.Name)
-                        and issue.value.id == "self"):
+                issue = self_attr(arg_or_kw(n.value, 0, "issue"))
+                if issue is None:
                     continue
-                for tgt in n.targets:
-                    if isinstance(tgt, ast.Attribute) \
-                            and isinstance(tgt.value, ast.Name) \
-                            and tgt.value.id == "self":
-                        out.setdefault(tgt.attr, issue.attr)
+                for tgt in map(self_attr, n.targets):
+                    if tgt is not None:
+                        out.setdefault(tgt, issue)
     return out
 
 
 def _footprint(
-    classes: Dict[str, _ClassAst],
+    index: ProgramIndex,
     cls: str,
     method: str,
     cache: Dict[Tuple[str, str], HandlerFootprint],
     stack: Set[Tuple[str, str]],
-    pumps: Optional[Dict[str, str]] = None,
 ) -> HandlerFootprint:
     key = (cls, method)
     if key in cache:
         return cache[key]
     if key in stack:  # recursion (retry loops): already accounted
         return HandlerFootprint(method=method)
-    node = _resolve_method(classes, cls, method)
+    node, _owner = index.resolve(cls, method)
     fp = HandlerFootprint(method=method)
     if node is None:
         fp.opaque = True
         cache[key] = fp
         return fp
-    if pumps is None:
-        pumps = _pump_bindings(classes, cls)
-    scanner = _MethodScanner(pumps)
+    scanner = _MethodScanner(index.fact(cls, _pump_bindings))
     # scan the whole body *including* nested callback closures: their
     # accesses happen at later events, and folding them in only widens
     # the footprint (conservative in the right direction)
@@ -347,7 +288,7 @@ def _footprint(
     fp.opaque |= scanner.opaque
     stack.add(key)
     for callee in sorted(scanner.calls):
-        sub = _footprint(classes, cls, callee, cache, stack, pumps)
+        sub = _footprint(index, cls, callee, cache, stack)
         fp.reads |= sub.reads
         fp.writes |= sub.writes
         fp.opaque |= sub.opaque
@@ -356,35 +297,19 @@ def _footprint(
     return fp
 
 
-def _ancestry(classes: Dict[str, _ClassAst], cls: str) -> List[str]:
-    """Name-based base chain, most-derived first (approximate MRO)."""
-    order: List[str] = []
-    seen: Set[str] = set()
-    stack = [cls]
-    while stack:
-        cur = stack.pop(0)
-        if cur in seen:
-            continue
-        seen.add(cur)
-        order.append(cur)
-        if cur in classes:
-            stack.extend(classes[cur].bases)
-    return order
-
-
-def build_from_sources(sources: List[Tuple[str, str]]) -> SummaryTable:
-    model = check_sources(sources)
-    classes = _collect_classes(sources)
+def build_from_index(index: ProgramIndex) -> SummaryTable:
+    """Summaries for every class of ``index``."""
+    model = check_index(index)
     cache: Dict[Tuple[str, str], HandlerFootprint] = {}
     table: Dict[str, ClassSummary] = {}
-    for cls in sorted(classes):
+    for cls in sorted(index.classes):
         # a handler registered by a base class but *overridden* in a
         # subclass (or dispatching to overridden hooks, e.g. Controlet's
         # _client_op -> handle_put) must be summarized in the context of
         # the concrete class, so inherit every ancestor's bindings and
         # resolve methods against ``cls`` itself
         bindings: Dict[str, str] = {}
-        for ancestor in _ancestry(classes, cls):
+        for ancestor in index.ancestry(cls):
             for msg_type, method in model.handler_methods.get(ancestor, {}).items():
                 bindings.setdefault(msg_type, method)
         if not bindings:
@@ -397,10 +322,14 @@ def build_from_sources(sources: List[Tuple[str, str]]) -> SummaryTable:
                 )
                 continue
             summary.handlers[msg_type] = _footprint(
-                classes, cls, method, cache, set()
+                index, cls, method, cache, set()
             )
         table[cls] = summary
     return SummaryTable(table)
+
+
+def build_from_sources(sources: List[Tuple[str, str]]) -> SummaryTable:
+    return build_from_index(ProgramIndex(sources))
 
 
 def datalet_footprint(msg_type: str) -> HandlerFootprint:
@@ -419,15 +348,4 @@ def datalet_footprint(msg_type: str) -> HandlerFootprint:
 def build_summaries(root: Optional[Path] = None) -> SummaryTable:
     """Summaries for the whole installed ``repro`` package (default) or
     an explicit source root."""
-    if root is None:
-        from repro.analysis import package_root
-
-        root = package_root()
-    root = Path(root)
-    # reuse the conformance file walk so both passes see the same universe
-    _ = check_tree  # (kept importable for callers that want the model too)
-    sources = [
-        (p.relative_to(root).as_posix(), p.read_text())
-        for p in sorted(root.rglob("*.py"))
-    ]
-    return build_from_sources(sources)
+    return build_from_index(ProgramIndex.from_root(root))

@@ -239,8 +239,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="also print findings silenced by pragmas/allowlist")
     lint.add_argument("--no-conformance", action="store_true",
                       help="skip the protocol-conformance pass")
-    lint.add_argument("--no-flow", action="store_true",
-                      help="skip the flow-control passes")
     lint.add_argument("--inject-flow-defects", action="store_true",
                       help="also run the flow passes over the seeded "
                       "known-bad builds in analysis/flowdefects.py; "
@@ -600,27 +598,16 @@ def _cmd_check(args: argparse.Namespace) -> int:
 # lint
 # ---------------------------------------------------------------------------
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from repro.analysis import (
-        FLOW_INJECTION_SOURCES,
-        analyze_flow_sources,
         findings_to_json,
         format_findings,
         format_github,
-        package_root,
         run_lint,
         summarize,
     )
 
-    root = Path(args.root) if args.root else package_root()
-    findings = run_lint(root, conformance=not args.no_conformance,
-                        flow=not args.no_flow)
-    if args.inject_flow_defects:
-        sources = [(rel, (root / rel).read_text())
-                   for rel in FLOW_INJECTION_SOURCES
-                   if (root / rel).is_file()]
-        findings.extend(analyze_flow_sources(sources))
+    findings = run_lint(args.root, conformance=not args.no_conformance,
+                        inject_flow_defects=args.inject_flow_defects)
     counts = summarize(findings)
     if args.format == "json":
         print(findings_to_json(findings))

@@ -99,6 +99,20 @@ def test_tree_suppressions_are_attributed():
             assert "combo " in f.message
 
 
+def test_scope_view_does_not_widen_the_class_universe():
+    from repro.analysis import ProgramIndex
+    from repro.analysis.commitpoints import scope
+
+    index = ProgramIndex.from_root(package_root())
+    view = scope(index)
+    # the pass resolves only into core/ + datalet/, never net/actor.py
+    assert "Actor" in index.classes and "Actor" not in view.classes
+    assert {c.file.split("/")[0] for c in view.classes.values()} == {
+        "core", "datalet"}
+    # name collisions: the last definition in sorted file order wins
+    assert index.classes["ReplayResult"].file == "datalet/wal.py"
+
+
 def test_run_lint_includes_commitpoint_pass():
     findings = run_lint()
     assert any(

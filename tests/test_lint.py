@@ -432,6 +432,40 @@ def test_package_tree_is_clean():
     assert summarize(findings)["suppressed"] > 0
 
 
+def test_run_lint_parses_each_file_once_and_scans_each_class_once(
+        monkeypatch):
+    # every pass is a view of one ProgramIndex: one parse per file, and
+    # the flow retry scan memoized per class per index (call counts,
+    # not timings, so the check cannot flake)
+    import ast
+    from collections import Counter
+
+    from repro.analysis import flow, package_root
+
+    parses: Counter = Counter()
+    real_parse = ast.parse
+
+    def counting_parse(source, filename="<unknown>", *args, **kwargs):
+        parses[filename] += 1
+        return real_parse(source, filename, *args, **kwargs)
+
+    scans: Counter = Counter()
+    real_scan = flow._retry_scan
+
+    def counting_scan(index, cls):
+        scans[(id(index), cls)] += 1
+        return real_scan(index, cls)
+
+    monkeypatch.setattr(ast, "parse", counting_parse)
+    monkeypatch.setattr(flow, "_retry_scan", counting_scan)
+    root = package_root()
+    run_lint(root, inject_flow_defects=True)
+    files = {p.relative_to(root).as_posix() for p in root.rglob("*.py")}
+    assert set(parses) == files
+    assert [f for f, n in parses.items() if n != 1] == []
+    assert scans and max(scans.values()) == 1
+
+
 def test_cli_lint_strict_passes(capsys):
     assert main(["lint", "--strict"]) == 0
     out = capsys.readouterr().out

@@ -164,6 +164,24 @@ def test_package_summaries_capture_the_protocol_core():
     assert not ec.commutes("put", "get")
 
 
+def test_index_summaries_match_the_per_file_source_build():
+    # build_summaries() goes through one whole-package ProgramIndex; the
+    # footprints must equal a build from the explicit file list
+    from repro.analysis import package_root
+
+    root = package_root()
+    sources = [(p.relative_to(root).as_posix(), p.read_text())
+               for p in sorted(root.rglob("*.py"))]
+
+    def footprints(table):
+        return {(cls, t): (fp.reads, fp.writes, fp.opaque)
+                for cls, summary in table.classes.items()
+                for t, fp in summary.handlers.items()}
+
+    indexed = footprints(build_summaries())
+    assert indexed and indexed == footprints(build_from_sources(sources))
+
+
 def test_datalet_footprint_vocabulary_matches():
     put = datalet_footprint("put")
     get = datalet_footprint("get")
