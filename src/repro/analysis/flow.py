@@ -467,7 +467,7 @@ def _mentions_epoch_compare(funcdef) -> bool:
 #: double-ring routing state a controlet may only install through the
 #: epoch-fenced paths below — a stale broadcast writing these directly
 #: can re-open a committed reshard window.
-_RING_STATE_ATTRS = ("_ring", "_old_ring", "_reshard")
+_RING_STATE_ATTRS = ("_ring", "_window")
 _RING_INSTALLERS = ("__init__", "_install_shard", "_install_ring",
                     "_adopt_window")
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from repro.cluster.window import ReshardWindow
 from repro.core.ms_ec import MSEventualControlet
 from repro.core.ms_sc import MSStrongControlet
 from repro.errors import BespoError
@@ -86,14 +87,14 @@ class UncappedRequeueMSStrongControlet(MSStrongControlet):
 
 
 class StaleEpochDualRouteControlet(MSEventualControlet):
-    """Known-bad build: a config handler that adopts the double-ring
-    reshard state straight off the wire — ``self._reshard`` and
-    ``self._old_ring`` written directly, and the whole payload never
-    routed through the epoch fence in ``_install_shard``.  A delayed
-    ``config_update`` broadcast from a *previous* reshard window then
-    re-opens dual-routing after the cutover committed: migrated keys
-    route back to the retired source, and a fenced source accepts
-    writes it no longer owns (``ring-epoch``, twice over).
+    """Known-bad build: a config handler that adopts the reshard window
+    straight off the wire — ``self._window`` written directly, and the
+    whole payload never routed through the epoch fence in
+    ``_install_shard``.  A delayed ``config_update`` broadcast from a
+    *previous* reshard window then re-opens dual-routing after the
+    cutover committed: migrated keys route back to the retired source,
+    and a fenced source accepts writes it no longer owns
+    (``ring-epoch``, twice over).
     """
 
     def _on_config_update(self, msg: Message) -> None:
@@ -101,8 +102,7 @@ class StaleEpochDualRouteControlet(MSEventualControlet):
         ring = (payload.get("view") or {}).get("reshard")
         # BUG: no epoch comparison, no _install_shard — stale window
         # descriptors land as if they were fresh
-        self._reshard = dict(ring) if ring else None
-        self._old_ring = None
+        self._window = ReshardWindow(ring) if ring else None
         self.respond(msg, "config_ack", {"epoch": payload["map"]["epoch"]})
 
 

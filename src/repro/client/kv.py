@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.cluster.window import ReshardWindow
 from repro.core.types import ClusterMap, Consistency, ShardInfo, Topology
 from repro.obs import RequestContext
 from repro.errors import (
@@ -85,11 +86,10 @@ class KVClient:
         #: stamped on every op so controlets (and the DLM / sequencer
         #: backstops) can fence stale-routed requests during a reshard.
         self._ring_gen = 0
-        #: open reshard window descriptor + the old ring: while set,
-        #: writes for moved keys dual-route to both owners and reads
-        #: prefer the new owner with fallback to the old one.
-        self._reshard: Optional[Dict[str, Any]] = None
-        self._old_ring: Optional[HashRing] = None
+        #: open reshard window: while set, writes for moved keys
+        #: dual-route to both owners and reads prefer the new owner
+        #: with fallback to the old one.
+        self._window: Optional[ReshardWindow] = None
         # Named stream from the registry, not a derived ad-hoc Random:
         # the client's jitter draws replay bit-for-bit for a given seed.
         self._rng = cluster.rng.stream(f"client.{name}")
@@ -178,13 +178,7 @@ class KVClient:
             for sid in sorted(want - have):
                 self._ring.add(sid)
         desc = view.get("reshard")
-        if desc is not None:
-            if self._reshard is None or self._reshard.get("gen") != desc.get("gen"):
-                self._old_ring = HashRing([str(s) for s in desc["old"]])
-            self._reshard = dict(desc)
-        else:
-            self._reshard = None
-            self._old_ring = None
+        self._window = ReshardWindow.adopt(self._window, desc) if desc is not None else None
         self._ring_gen = gen
         if self.partitioner == "range" and (changed or self._range is None):
             self._range = RangePartitioner.uniform_alpha(cmap.shard_ids())
@@ -378,11 +372,9 @@ class KVClient:
         """During an open reshard window: the *old* ring's owner of
         ``key`` when it differs from the new owner (else None — the key
         is unaffected by the window)."""
-        if self._reshard is None or self._old_ring is None:
+        if self._window is None or self.partitioner != "hash" or self.map is None:
             return None
-        if self.partitioner != "hash" or self.map is None:
-            return None
-        old_sid = self._old_ring.lookup(key)
+        old_sid = self._window.old_owner(key)
         if old_sid == new_shard.shard_id or old_sid not in self.map.shards:
             return None
         return self.map.shard(old_sid)

@@ -30,6 +30,7 @@ from repro.core.config import ControlConfig
 from repro.core.types import ClusterMap, Consistency, Replica, ShardInfo, Topology
 from repro.net.actor import Actor
 from repro.net.message import Message
+from repro.sharedlog.log import shard_log_id
 
 __all__ = ["CoordinatorActor"]
 
@@ -495,8 +496,7 @@ class CoordinatorActor(Actor):
             targets.append(self.dlm)
         for s in shards:
             if s.topology is Topology.AA and s.consistency is Consistency.EVENTUAL:
-                # deployment naming convention: one log actor per shard
-                targets.append(f"sharedlog.{s.shard_id}")
+                targets.append(shard_log_id(s.shard_id))
         return targets
 
     def _arm_authorities(self) -> None:

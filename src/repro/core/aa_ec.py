@@ -17,6 +17,7 @@ from repro.core.controlet import Controlet, Pump
 from repro.core.request import Request
 from repro.errors import BespoError
 from repro.net.message import Message
+from repro.sharedlog.log import shard_log_id
 
 __all__ = ["AAEventualControlet"]
 
@@ -239,6 +240,10 @@ class AAEventualControlet(Controlet):
     # ------------------------------------------------------------------
     # resharding: log-ordered migration
     # ------------------------------------------------------------------
+    def _census_backlog(self) -> bool:
+        # accepted writes not yet sequenced into our log
+        return self._order_busy or bool(self._order_queue)
+
     def _migrate_barrier(self, then) -> None:
         """Reshard census barrier: drain our accepted-but-unsequenced
         writes, then replay our own log up to its current tail — after
@@ -246,83 +251,50 @@ class AAEventualControlet(Controlet):
         window opened, so the census (and the per-key copies) read
         authoritative values.  Writes sequenced *during* the window are
         covered by the destination sequencer's dirty marks instead."""
+        super()._migrate_barrier(lambda: self._replay_barrier(then))
 
-        def orders_drained() -> None:
-            def on_tail(resp: Optional[Message], err: Optional[BespoError]) -> None:
-                if resp is None or resp.type != "entries":
-                    # log briefly unreachable: the barrier must land
-                    self.set_timer(self.config.replication_timeout, orders_drained)
-                    return
-                target = int(resp.payload["tail"])
+    def _replay_barrier(self, then) -> None:
+        """Wait until our replay cursor reaches the log's current tail."""
 
-                def wait_replay() -> None:
-                    if self.cursor >= target:
-                        then()
-                    else:
-                        self.set_timer(0.05, wait_replay)
-
-                wait_replay()
-
-            self.call(
-                self.sharedlog,
-                "log_fetch",
-                {"pos": self.cursor, "max": 1},
-                callback=on_tail,
-                timeout=self.config.replication_timeout,
-            )
-
-        def poll_orders() -> None:
-            if self._order_busy or self._order_queue:
-                self.set_timer(0.05, poll_orders)
+        def on_tail(resp: Optional[Message], err: Optional[BespoError]) -> None:
+            if resp is None or resp.type != "entries":
+                # log briefly unreachable: the barrier must land
+                self.set_timer(self.config.replication_timeout,
+                               lambda: self._replay_barrier(then))
                 return
-            orders_drained()
+            target = int(resp.payload["tail"])
 
-        poll_orders()
+            def wait_replay() -> None:
+                if self.cursor >= target:
+                    then()
+                else:
+                    self.set_timer(0.05, wait_replay)
 
-    def _migrate_copy(self, key, complete) -> None:
-        """Copy one moved key by appending it to the *destination*
-        shard's log (deployment naming convention: one sequencer per
-        shard).  The destination's sequencer is the ordering authority:
-        it refuses the copy (``skipped``) when a client write for the
-        key was sequenced during the window, and a clean copy enters the
-        log as a plain put entry — replaying replicas (and the hybrid's
-        slaves) need no special casing."""
-        desc = self._reshard
-        if desc is None or self._ring is None:
-            complete("skipped")
-            return
-        dest_log = f"sharedlog.{self._ring.lookup(key)}"
+            wait_replay()
 
-        def have(r2: Optional[Message], e2: Optional[BespoError]) -> None:
-            if e2 is not None or r2 is None:
-                complete("retry")
-                return
-            if r2.type != "value":
-                complete("skipped")  # deleted at the source
-                return
+        self.call(
+            self.sharedlog,
+            "log_fetch",
+            {"pos": self.cursor, "max": 1},
+            callback=on_tail,
+            timeout=self.config.replication_timeout,
+        )
 
-            def acked(r3: Optional[Message], e3: Optional[BespoError]) -> None:
-                if e3 is not None or r3 is None or r3.type != "appended":
-                    complete("retry")
-                    return
-                complete("skipped" if r3.payload.get("skipped") else "moved")
-
-            self.call(
-                dest_log,
-                "log_append",
-                {
-                    "op": "put",
-                    "key": key,
-                    "val": r2.payload["val"],
-                    "rid": f"mig.g{desc['gen']}.{key}",
-                    "mig": True,
-                    "gen": desc["gen"],
-                },
-                callback=acked,
-                timeout=self.config.replication_timeout,
-            )
-
-        self.datalet_call("get", {"key": key}, callback=have)
+    def _send_copy(self, win, shard, key, val, acked) -> None:
+        """Append the copy to the *destination* shard's log instead: its
+        sequencer is the ordering authority — it refuses the copy
+        (``skipped``) when a client write for the key was sequenced
+        during the window, and a clean copy enters the log as a plain
+        put entry, so replaying replicas (and the hybrid's slaves) need
+        no special casing."""
+        self.call(
+            shard_log_id(shard),
+            "log_append",
+            {"op": "put", "key": key, "val": val, "rid": win.copy_rid(key),
+             "mig": True, "gen": win.gen},
+            callback=acked,
+            timeout=self.config.replication_timeout,
+        )
 
     # ------------------------------------------------------------------
     # log replay

@@ -11,7 +11,7 @@ Fig 7 ("lock contention at the DLM caps the performance").
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.core.controlet import Controlet
 from repro.core.request import Request
@@ -142,16 +142,18 @@ class AAStrongControlet(Controlet):
                 return
             body()
 
+        self._lock(key, mode, on_grant)
+
+    def _lock(self, key: str, mode: str, on_grant: Callable[..., None],
+              mig: bool = False) -> None:
+        # the ring generation rides along so the DLM can fence
+        # stale-routed writes during a reshard window
+        payload = {"key": key, "mode": mode, "gen": self._ring_gen}
+        if mig:
+            payload["mig"] = True
         self.lock_waits += 1
-        self.call(
-            self.dlm,
-            "lock",
-            # the ring generation rides along so the DLM can fence
-            # stale-routed writes during a reshard window
-            {"key": key, "mode": mode, "gen": self._ring_gen},
-            callback=on_grant,
-            timeout=self.config.lock_lease * 4,
-        )
+        self.call(self.dlm, "lock", payload, callback=on_grant,
+                  timeout=self.config.lock_lease * 4)
 
     def _unlock(self, key: str) -> None:
         self.send(self.dlm, "unlock", {"key": key})
@@ -174,123 +176,39 @@ class AAStrongControlet(Controlet):
         if req is None:
             return
 
-        def unlock_then_finish(error: Optional[str]) -> None:
-            self._unlock(key)
-            if error is not None:
-                self.stats["errors"] += 1
-                req.fail(error)
-            else:
-                req.ack()
-
         def body() -> None:
             payload = {"op": op, "key": key}
             if op == "put":
                 payload["val"] = msg.payload["val"]
-            # Fan out through every replica's *controlet* (not its
-            # datalet) while holding the lock (paper Fig 15b steps
-            # 4-5): the controlet is the point where a recovery relay
-            # or a catch-up buffer can intercept the write, which a
-            # datalet-direct write would bypass.
-            targets = [r.controlet for r in self.shard.ordered()]
-            req.arm(len(targets), then=unlock_then_finish)
-
-            def on_ack(resp: Optional[Message], err: Optional[BespoError]) -> None:
-                if err is not None:
-                    req.settle(str(err))
-                elif resp is not None and resp.type == "error" and op == "put":
-                    req.settle(str(resp.payload))
-                else:
-                    req.settle()
-
-            for target in targets:
-                self.call(
-                    target,
-                    "peer_apply",
-                    dict(payload),
-                    callback=on_ack,
-                    timeout=self.config.replication_timeout,
-                )
+            self._fan_out(req, payload, unlock=True)
 
         self._with_lock(key, "w", body, req.fail)
 
-    # ------------------------------------------------------------------
-    # resharding: lock-serialized migration
-    # ------------------------------------------------------------------
-    def _migrate_copy(self, key, complete) -> None:
-        """Copy one moved key under the cluster-wide w-lock: the grant
-        tells us (``dirty``) whether a client write beat us to the key
-        during the window — then the copy would clobber a newer value
-        and is skipped.  The DLM serializes us against every concurrent
-        writer, so a clean grant means the local engine's value *is*
-        the key's latest committed state (AA+SC applies acked writes at
-        all replicas)."""
-        desc = self._reshard
-        if desc is None or self._ring is None:
-            complete("skipped")
-            return
-        entries = desc.get("entries", {})
-        dest = entries.get(self._ring.lookup(key))
-        if dest is None:
-            complete("skipped")
-            return
+    def _fan_out(self, req: Request, payload: Dict[str, Any], unlock: bool) -> None:
+        """Apply a write at every active while the key's cluster-wide
+        w-lock is held — by us (``unlock``: release it once every active
+        answered) or by a migration driver.  Fan out through every
+        replica's *controlet* (not its datalet; paper Fig 15b steps
+        4-5): the controlet is the point where a recovery relay or a
+        catch-up buffer can intercept the write, which a datalet-direct
+        write would bypass."""
 
-        def done(outcome: str) -> None:
-            self._unlock(key)
-            complete(outcome)
-
-        def on_grant(resp: Optional[Message], err: Optional[BespoError]) -> None:
-            if err is not None or resp is None or resp.type != "granted":
-                complete("retry")  # no lock held: retry from scratch
-                return
-            if resp.payload.get("dirty"):
-                done("skipped")
-                return
-
-            def have(r2: Optional[Message], e2: Optional[BespoError]) -> None:
-                if e2 is not None or r2 is None:
-                    done("retry")
-                    return
-                if r2.type != "value":
-                    done("skipped")  # deleted at the source
-                    return
-                self._ship_copy(key, r2.payload["val"], dest, done)
-
-            self.datalet_call("get", {"key": key}, callback=have)
-
-        self.lock_waits += 1
-        self.call(
-            self.dlm,
-            "lock",
-            {"key": key, "mode": "w", "gen": self._ring_gen, "mig": True},
-            callback=on_grant,
-            timeout=self.config.lock_lease * 4,
-        )
-
-    def _admit_migrate(self, msg: Message) -> None:
-        """The migration driver already holds the cluster-wide w-lock on
-        this key, so the destination fan-out must not re-acquire it (it
-        would queue behind its own driver forever); replicate to every
-        active directly, exactly like the locked body of a write."""
-        req = self.begin_write(msg, "put", rid=msg.payload.get("rid"))
-        if req is None:
-            return
-        payload = {"op": "put", "key": msg.payload["key"],
-                   "val": msg.payload["val"]}
-        targets = [r.controlet for r in self.shard.ordered()]
-
-        def then(error: Optional[str]) -> None:
+        def finish(error: Optional[str]) -> None:
+            if unlock:
+                self._unlock(payload["key"])
             if error is not None:
                 self.stats["errors"] += 1
                 req.fail(error)
             else:
                 req.ack()
 
-        req.arm(len(targets), then=then)
+        targets = [r.controlet for r in self.shard.ordered()]
+        req.arm(len(targets), then=finish)
 
         def on_ack(resp: Optional[Message], err: Optional[BespoError]) -> None:
             if err is not None:
                 req.settle(str(err))
-            elif resp is not None and resp.type == "error":
+            elif resp is not None and resp.type == "error" and payload["op"] == "put":
                 req.settle(str(resp.payload))
             else:
                 req.settle()
@@ -303,6 +221,44 @@ class AAStrongControlet(Controlet):
                 callback=on_ack,
                 timeout=self.config.replication_timeout,
             )
+
+    # ------------------------------------------------------------------
+    # resharding: lock-serialized migration
+    # ------------------------------------------------------------------
+    def _migrate_copy(self, key, complete) -> None:
+        """Copy one moved key under the cluster-wide w-lock: the grant
+        tells us (``dirty``) whether a client write beat us to the key
+        during the window — then the copy would clobber a newer value
+        and is skipped.  The DLM serializes us against every concurrent
+        writer, so a clean grant means the local engine's value *is*
+        the key's latest committed state (AA+SC applies acked writes at
+        all replicas); the base template then reads and ships it."""
+        copy = super()._migrate_copy
+
+        def done(outcome: str) -> None:
+            self._unlock(key)
+            complete(outcome)
+
+        def on_grant(resp: Optional[Message], err: Optional[BespoError]) -> None:
+            if err is not None or resp is None or resp.type != "granted":
+                complete("retry")  # no lock held: retry from scratch
+                return
+            if resp.payload.get("dirty"):
+                done("skipped")
+                return
+            copy(key, done)
+
+        self._lock(key, "w", on_grant, mig=True)
+
+    def _admit_migrate(self, msg: Message) -> None:
+        """The migration driver already holds the cluster-wide w-lock on
+        this key, so the destination fan-out must not re-acquire it (it
+        would queue behind its own driver forever)."""
+        req = self.begin_write(msg, "put", rid=msg.payload.get("rid"))
+        if req is None:
+            return
+        payload = {"op": "put", "key": msg.payload["key"], "val": msg.payload["val"]}
+        self._fan_out(req, payload, unlock=False)
 
     # ------------------------------------------------------------------
     # read path

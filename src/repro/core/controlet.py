@@ -18,8 +18,9 @@ on top of this framework.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 
+from repro.cluster.window import ReshardWindow
 from repro.core.config import ControlConfig
 from repro.core.request import Request
 from repro.core.types import Replica, ShardInfo
@@ -156,17 +157,18 @@ class Controlet(Actor):
         self._ring_gen = 0
         self._ring_ids: List[str] = []
         self._ring: Optional[HashRing] = None
-        #: open reshard window descriptor (+ the old ring) while writes
-        #: dual-route; ``None`` when the topology is settled.
-        self._reshard: Optional[Dict[str, Any]] = None
-        self._old_ring: Optional[HashRing] = None
+        #: open reshard window (both rings + the dirty marks of client
+        #: writes admitted while it is open) while writes dual-route;
+        #: ``None`` when the topology is settled.
+        self._window: Optional[ReshardWindow] = None
         #: highest window generation we acked a ``reshard_fence`` for:
         #: from then on the dual-routed old-ring leg of that window is
         #: rejected too, so no stale read survives the cutover.
         self._fenced_gen = 0
-        #: keys written by clients — a migrated copy must never clobber
-        #: them (cleared when the window commits).
-        self._dirty_keys: set = set()
+        #: client writes stamped with a newer ring generation than ours
+        #: (the client learned a window before our config_update did):
+        #: dirty marks held until that window installs here.
+        self._early_marks: Set[str] = set()
         #: in-flight source-side migration drive + last driven gen
         #: (duplicate ``reshard_migrate`` orders are dropped).
         self._migration: Optional[Any] = None
@@ -583,23 +585,19 @@ class Controlet(Actor):
             # and only from clients that stamped that window's gen.
             key = msg.payload["key"]
             if self._ring.lookup(key) != self.shard.shard_id:
-                desc = self._reshard
+                win = self._window
                 dual_leg = (
-                    desc is not None
-                    and int(desc["gen"]) > self._fenced_gen
-                    and msg.payload.get("gen") == desc["gen"]
-                    and self._old_ring is not None
-                    and self._old_ring.lookup(key) == self.shard.shard_id
+                    win is not None
+                    and win.gen > self._fenced_gen
+                    and msg.payload.get("gen") == win.gen
+                    and win.old_owner(key) == self.shard.shard_id
                 )
                 if not dual_leg:
                     self.stats["errors"] += 1
                     self.respond(msg, "error", {"error": "wrong_shard"})
                     return
         if msg.type in ("put", "del"):
-            # dirty-track every admitted client mutation so an in-window
-            # migrated copy (an older value by construction) can never
-            # clobber it; see :meth:`_on_migrate_put`.
-            self._dirty_keys.add(msg.payload["key"])
+            self._mark_write(msg)
         if self.forward_writes_to is not None and msg.type in ("put", "del"):
             self._forward_write(msg)
             return
@@ -615,6 +613,23 @@ class Controlet(Actor):
         else:
             self.stats["scans"] += 1
             self.handle_scan(msg)
+
+    def _mark_write(self, msg: Message) -> None:
+        """Dirty-mark an in-window client mutation so a migrated copy
+        (an older value by construction) can never clobber it; see
+        :meth:`_on_migrate_put`.  Writes are marked only while a window
+        is open here (if it moves the key), or when the client stamped a
+        newer ring generation than ours — its window began before our
+        config_update arrived; those marks wait for that window."""
+        key = msg.payload["key"]
+        if (msg.payload.get("gen") or 0) > self._ring_gen:
+            self._early_marks.add(key)
+        elif self._window is not None:
+            self._window.mark(key)
+
+    def _marked(self, key: str) -> bool:
+        win = self._window
+        return (win is not None and key in win.dirty) or key in self._early_marks
 
     def _forward_write(self, msg: Message) -> None:
         """Transition mode: relay the write to the new controlet and ack
@@ -835,33 +850,26 @@ class Controlet(Actor):
             self._partitioner = partitioner
         if not ring:
             return
-        gen = int(ring.get("gen", 0))
-        ids = list(ring.get("ids", []))
+        self._adopt_window(int(ring.get("gen", 0)), list(ring.get("ids", [])),
+                           ring.get("reshard"))
+
+    def _adopt_window(self, gen: int, ids: List[str],
+                      desc: Optional[Dict[str, Any]]) -> None:
+        """Install ring generation + members and the reshard window
+        (``desc`` None: the topology is settled).  Reached from the
+        fenced config path and from a ``reshard_migrate`` order, which
+        can outrun the config broadcast."""
         if gen != self._ring_gen or ids != self._ring_ids:
             self._ring_gen = gen
             self._ring_ids = ids
             self._ring = HashRing(ids) if ids else None
-        desc = ring.get("reshard")
         if desc is not None:
-            desc = dict(desc)
-            if self._reshard is None or self._reshard.get("gen") != desc.get("gen"):
-                self._reshard = desc
-                self._old_ring = HashRing(list(desc["old"]))
-        elif self._reshard is not None:
+            self._window = ReshardWindow.adopt(self._window, desc, self._early_marks)
+            self._early_marks.clear()
+        elif self._window is not None:
             # window committed: the new ring is the only ring now, and
             # the in-window dirty marks have served their purpose
-            self._reshard = None
-            self._old_ring = None
-            self._dirty_keys.clear()
-
-    def _adopt_window(self, gen: int, ids: List[str], desc: Dict[str, Any]) -> None:
-        """Install a reshard window directly from its descriptor (the
-        ``reshard_migrate`` order can outrun the config broadcast)."""
-        self._ring_gen = gen
-        self._ring_ids = list(ids)
-        self._ring = HashRing(self._ring_ids)
-        self._reshard = desc
-        self._old_ring = HashRing(list(desc["old"]))
+            self._window = None
 
     # -- source side: drive the per-key copy pump ----------------------
     def _on_reshard_migrate(self, msg: Message) -> None:
@@ -875,7 +883,7 @@ class Controlet(Actor):
         epoch = msg.payload.get("epoch")
         if epoch is not None and int(epoch) > self._config_epoch:
             self._config_epoch = int(epoch)
-        if self._reshard is None or self._reshard.get("gen") != gen:
+        if self._window is None or self._window.gen != gen:
             self._adopt_window(gen, list(desc["new"]), desc)
         self._migrated_gen = gen
         # local import: cluster.migrate builds on Pump from this module
@@ -891,13 +899,25 @@ class Controlet(Actor):
         self._migrate_barrier(lambda: self._migration_census(census_ready))
 
     def _migrate_barrier(self, then: Callable[[], None]) -> None:
-        """Hook: wait until every write admitted *before* the window
-        opened is applied to the local engine, so the census read sees
-        it.  Default: nothing buffers ahead of the engine — proceed
-        immediately.  Combos with an accept queue / replication backlog
-        override this (writes admitted *during* the window are covered
-        by the destination's dirty marks instead)."""
-        then()
+        """Census barrier: wait until every write admitted *before* the
+        window opened is applied to the local engine, so the census read
+        sees it — poll :meth:`_census_backlog` until it clears.  Writes
+        admitted *during* the window are covered by the destination's
+        dirty marks instead."""
+
+        def poll() -> None:
+            if self._census_backlog():
+                self.set_timer(0.05, poll)
+                return
+            then()
+
+        poll()
+
+    def _census_backlog(self) -> bool:
+        """Hook: True while admitted writes may still sit ahead of the
+        local engine (an accept queue, an ordering batch in flight).
+        Default: nothing buffers ahead of the engine."""
+        return False
 
     def _migration_census(self, then: Callable[[List[str]], None]) -> None:
         """Snapshot the local engine and keep only keys this shard owns
@@ -917,31 +937,32 @@ class Controlet(Actor):
                 self.set_timer(0.05, lambda: self._migration_census(then))
                 return
             data = resp.payload["data"]
-            assert self._ring is not None and self._old_ring is not None
+            win = self._window
+            assert win is not None
             me = self.shard.shard_id
             then([
                 k for k in sorted(data)
-                if self._old_ring.lookup(k) == me
-                and self._ring.lookup(k) != me
+                if win.old_owner(k) == me and win.new_owner(k) != me
             ])
 
         self.datalet_call("snapshot", {}, callback=have)
 
     def _migrate_copy(self, key: str, complete: Callable[[str], None]) -> None:
         """Copy one key to its new-ring owner: read the local engine,
-        ship a rid-stamped idempotent ``migrate_put`` to the destination
-        shard's entry controlet.  Combos with an external ordering
-        authority override this (AA+SC locks the key first; AA+EC
-        appends to the destination's shared log instead)."""
-        desc = self._reshard
-        if desc is None or self._ring is None:
+        ship the value under the copy's rid (:meth:`_send_copy`), map
+        the reply to ``moved``/``skipped``/``retry``.  AA+SC wraps this
+        in the key's cluster-wide w-lock; AA+EC overrides the send."""
+        win = self._window
+        shard = win.new_owner(key) if win is not None else None
+        if win is None or shard not in win.entries:
             complete("skipped")
             return
-        entries: Dict[str, str] = desc.get("entries", {})  # type: ignore[assignment]
-        dest = entries.get(self._ring.lookup(key))
-        if dest is None:
-            complete("skipped")
-            return
+
+        def acked(resp: Optional[Message], err: Optional[BespoError]) -> None:
+            if err is not None or resp is None or resp.type == "error":
+                complete("retry")
+                return
+            complete("skipped" if resp.payload.get("skipped") else "moved")
 
         def have(resp: Optional[Message], err: Optional[BespoError]) -> None:
             if err is not None or resp is None:
@@ -950,35 +971,19 @@ class Controlet(Actor):
             if resp.type != "value":
                 complete("skipped")  # vanished at the source (deleted)
                 return
-            self._ship_copy(key, resp.payload["val"], dest, complete)
+            self._send_copy(win, shard, key, resp.payload["val"], acked)
 
         self.datalet_call("get", {"key": key}, callback=have)
 
-    def _ship_copy(
-        self,
-        key: str,
-        val: str,
-        dest: str,
-        complete: Callable[[str], None],
-    ) -> None:
-        """Send one ``migrate_put`` copy; retries reuse the same rid so
-        the destination's dedup gate keeps them exactly-once."""
-        desc = self._reshard
-        if desc is None:
-            complete("skipped")
-            return
-        rid = f"mig.g{desc['gen']}.{key}"
-
-        def acked(resp: Optional[Message], err: Optional[BespoError]) -> None:
-            if err is not None or resp is None or resp.type == "error":
-                complete("retry")
-                return
-            complete("skipped" if resp.payload.get("skipped") else "moved")
-
+    def _send_copy(self, win: ReshardWindow, shard: str, key: str, val: str,
+                   acked: Callable[..., None]) -> None:
+        """Send step: an idempotent ``migrate_put`` to the new owner
+        shard's entry controlet; retries reuse the copy's rid, so the
+        destination's dedup gate keeps them exactly-once."""
         self.call(
-            dest,
+            win.entries[shard],
             "migrate_put",
-            {"key": key, "val": val, "gen": desc["gen"], "rid": rid, "mig": True},
+            {"key": key, "val": val, "gen": win.gen, "rid": win.copy_rid(key), "mig": True},
             callback=acked,
             timeout=self.config.replication_timeout,
         )
@@ -995,7 +1000,7 @@ class Controlet(Actor):
     # -- destination side: dirty-checked idempotent apply ---------------
     def _on_migrate_put(self, msg: Message) -> None:
         key = msg.payload["key"]
-        if key in self._dirty_keys:
+        if self._marked(key):
             # a client wrote this key during the window — the source's
             # copy is older by construction and must not clobber it
             self.respond(msg, "ok", {"skipped": True})
@@ -1033,7 +1038,7 @@ class Controlet(Actor):
             "catchup": len(self._catchup),
             "forward_writes_to": self.forward_writes_to,
             "ring_gen": self._ring_gen,
-            "reshard_window": self._reshard is not None,
+            "reshard_window": self._window is not None,
             "fenced_gen": self._fenced_gen,
         })
         return s

@@ -273,20 +273,11 @@ class MSEventualControlet(Controlet):
         self.datalet_call("apply_batch", {"ops": ops, "want_results": True},
                           callback=after_local)
 
-    def _migrate_barrier(self, then) -> None:
-        """Reshard census barrier: pre-window writes may still sit in
-        the accept queue ahead of the master's engine — wait for one
-        observed drain so the census sees them.  The propagation
-        backlog does not matter here: the census reads the master's
-        engine, which is the shard's write authority."""
-
-        def poll() -> None:
-            if self._accept_busy or self._accept_queue:
-                self.set_timer(0.05, poll)
-                return
-            then()
-
-        poll()
+    def _census_backlog(self) -> bool:
+        # pre-window writes may still sit in the accept queue ahead of
+        # the master's engine; the propagation backlog does not matter —
+        # the census reads the master, the shard's write authority
+        return self._accept_busy or bool(self._accept_queue)
 
     # ------------------------------------------------------------------
     # async propagation (master)

@@ -181,20 +181,10 @@ class MSStrongControlet(Controlet):
         self.datalet_call("apply_batch", {"ops": ops, "want_results": True},
                           callback=after_local)
 
-    def _migrate_barrier(self, then) -> None:
-        """Reshard census barrier: writes admitted before the window
-        opened may still sit in the accept queue ahead of the head's
-        engine — wait for one observed drain so the census sees them.
-        (Writes admitted *during* the window are dual-routed, so the
-        destination's dirty marks cover them instead.)"""
-
-        def poll() -> None:
-            if self._accept_busy or self._accept_queue:
-                self.set_timer(0.05, poll)
-                return
-            then()
-
-        poll()
+    def _census_backlog(self) -> bool:
+        # pre-window writes may still sit in the accept queue ahead of
+        # the head's engine
+        return self._accept_busy or bool(self._accept_queue)
 
     def _on_chain_put(self, msg: Message) -> None:
         """A chain write arriving from our predecessor."""

@@ -6,7 +6,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
-from repro.hashing.ring import HashRing
+from repro.cluster.window import WindowAuthority
 from repro.net.actor import Actor
 from repro.net.message import Message
 
@@ -122,7 +122,7 @@ class LockTable:
         return len(st.waiters) if st else 0
 
 
-class LockManagerActor(Actor):
+class LockManagerActor(WindowAuthority, Actor):
     """DLM server.
 
     Protocol: ``lock`` {key, mode} → ``granted``; ``unlock`` {key} →
@@ -136,12 +136,10 @@ class LockManagerActor(Actor):
         self.lease = lease
         self._lease_timers: Dict[Tuple[str, str], object] = {}
         self.expired = 0
-        #: open reshard window (the DLM is the ordering authority for
-        #: AA+SC shards, so it is *armed before* any controlet or client
-        #: learns the window): ``{"gen", "old", "new", "dirty"}`` with
-        #: old/new the two :class:`HashRing`\ s and ``dirty`` the keys
-        #: written under a w-lock while the window is open.
-        self._reshard: Optional[Dict[str, object]] = None
+        #: open reshard window: the DLM is the ordering authority for
+        #: AA+SC shards (see :class:`WindowAuthority`); its dirty marks
+        #: are the moved keys written under a w-lock during the window.
+        self._window = None
         self.register("lock", self._on_lock)
         self.register("unlock", self._on_unlock)
         self.register("reshard_begin", self._on_reshard_begin)
@@ -157,24 +155,16 @@ class LockManagerActor(Actor):
             "expired": self.expired,
         }
 
-    def _moved(self, key: str) -> bool:
-        """True when the open window re-assigns ``key`` to a new owner."""
-        win = self._reshard
-        if win is None:
-            return False
-        return win["old"].lookup(key) != win["new"].lookup(key)  # type: ignore[union-attr]
-
     def _on_lock(self, msg: Message) -> None:
         key = msg.payload["key"]
         mode = msg.payload.get("mode", "w")
         owner = msg.src
-        win = self._reshard
+        win = self._window
         if (
             win is not None
             and mode == "w"
             and not msg.payload.get("mig")
-            and self._moved(key)
-            and msg.payload.get("gen") != win["gen"]
+            and win.stale(key, msg.payload.get("gen"))
         ):
             # Backstop against stale routing: a write for a moved key
             # from a controlet that has not adopted the window's ring
@@ -188,37 +178,18 @@ class LockManagerActor(Actor):
             timer = self.set_timer(self.lease, lambda: self._expire(key, owner))
             self._lease_timers[(key, owner)] = timer
             payload: Dict[str, object] = {"key": key, "lease": self.lease}
-            w = self._reshard
+            w = self._window
             if w is not None and mode == "w":
-                dirty: Set[str] = w["dirty"]  # type: ignore[assignment]
                 if msg.payload.get("mig"):
                     # migration driver: tell it whether a client write
                     # beat it to the key (evaluated at *grant* time —
                     # writes that queued ahead of us have marked by now)
-                    payload["dirty"] = key in dirty
-                elif self._moved(key):
-                    dirty.add(key)
+                    payload["dirty"] = key in w.dirty
+                else:
+                    w.mark(key)
             self.respond(msg, "granted", payload)
 
         self.table.acquire(key, owner, mode, grant)
-
-    def _on_reshard_begin(self, msg: Message) -> None:
-        gen = int(msg.payload["gen"])
-        if self._reshard is None or self._reshard["gen"] != gen:
-            self._reshard = {
-                "gen": gen,
-                "old": HashRing(list(msg.payload["old"])),
-                "new": HashRing(list(msg.payload["new"])),
-                "dirty": set(),
-            }
-        self.respond(msg, "ok", {"gen": gen})
-
-    def _on_reshard_end(self, msg: Message) -> None:
-        if (
-            self._reshard is not None
-            and self._reshard["gen"] == int(msg.payload.get("gen", -1))
-        ):
-            self._reshard = None
 
     def _on_unlock(self, msg: Message) -> None:
         key = msg.payload["key"]
@@ -239,7 +210,7 @@ class LockManagerActor(Actor):
     # -- model-checker introspection -----------------------------------
     def snapshot_state(self):
         s = super().snapshot_state()
-        s["reshard_gen"] = self._reshard["gen"] if self._reshard else 0
+        s["reshard_gen"] = self.window_gen
         s["locks"] = {
             key: {
                 "writer": st.writer,

@@ -171,7 +171,7 @@ class Deployment:
         self.cluster.add_actor(self.coordinator, host="coordinator")
 
         from repro.dlm import LockManagerActor  # local: keep import graph flat
-        from repro.sharedlog import SharedLogActor
+        from repro.sharedlog import SharedLogActor, shard_log_id
 
         self.dlm = LockManagerActor("dlm", lease=spec.control.lock_lease)
         self.cluster.add_host("dlm", cpus=spec.dlm_cpus)
@@ -179,7 +179,7 @@ class Deployment:
 
         self.sharedlogs: Dict[str, str] = {}
         for i in range(spec.shards):
-            log_id = f"sharedlog.s{i}"
+            log_id = shard_log_id(f"s{i}")
             self.cluster.add_host(log_id, cpus=spec.host_cpus)
             self.cluster.add_actor(SharedLogActor(log_id), host=log_id)
             self.sharedlogs[f"s{i}"] = log_id
@@ -395,19 +395,19 @@ class Deployment:
         """Launch a whole new shard for an online reshard (shard add).
 
         Fresh hosts, fresh controlet-datalet pairs — and for AA+EC a
-        fresh shared-log sequencer under the ``sharedlog.<sid>`` naming
-        convention the coordinator's reshard arming relies on.  The new
-        shard is *not* entered into the cluster map here: the
-        coordinator does that when it opens the double-ring window.
+        fresh shared-log sequencer named by ``shard_log_id``, which the
+        coordinator's reshard arming relies on.  The new shard is *not*
+        entered into the cluster map here: the coordinator does that
+        when it opens the double-ring window.
         """
         spec = self.spec
         i = next(self._shard_seq)
         sid = f"s{i}"
         if spec.topology is Topology.AA and spec.consistency is Consistency.EVENTUAL:
-            log_id = f"sharedlog.{sid}"
-            self.cluster.add_host(log_id, cpus=spec.host_cpus)
-            from repro.sharedlog import SharedLogActor  # local: keep import graph flat
+            from repro.sharedlog import SharedLogActor, shard_log_id  # local: keep import graph flat
 
+            log_id = shard_log_id(sid)
+            self.cluster.add_host(log_id, cpus=spec.host_cpus)
             self.cluster.add_actor(SharedLogActor(log_id), host=log_id)
             self.sharedlogs[sid] = log_id
         shard = ShardInfo(sid, spec.topology, spec.consistency, [])

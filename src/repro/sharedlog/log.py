@@ -6,12 +6,12 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional
 
+from repro.cluster.window import WindowAuthority
 from repro.errors import BespoError
-from repro.hashing.ring import HashRing
 from repro.net.actor import Actor
 from repro.net.message import Message
 
-__all__ = ["LogEntry", "SharedLog", "SharedLogActor"]
+__all__ = ["LogEntry", "SharedLog", "SharedLogActor", "shard_log_id"]
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,12 @@ class SharedLog:
         return self._next - self._base
 
 
-class SharedLogActor(Actor):
+def shard_log_id(shard_id: str) -> str:
+    """Actor id of a shard's log sequencer (one per AA+EC shard)."""
+    return f"sharedlog.{shard_id}"
+
+
+class SharedLogActor(WindowAuthority, Actor):
     """Message front-end.
 
     Protocol:
@@ -161,13 +166,9 @@ class SharedLogActor(Actor):
         #: rid → sequenced position, bounded FIFO (dedup window).
         self._rid_pos: Dict[str, int] = {}
         self._rid_order: Deque[str] = deque(maxlen=65536)
-        #: open reshard window.  The sequencer is the ordering authority
-        #: for its AA+EC shard, so it is *armed before* any controlet or
-        #: client learns the window: ``{"gen", "old", "new", "dirty"}``
-        #: — the two rings plus every moved key a client wrote while
-        #: the window is open (a later migrated copy of such a key would
-        #: clobber the newer value and is refused with ``skipped``).
-        self._reshard: Optional[Dict[str, Any]] = None
+        #: open reshard window: the sequencer is the ordering authority
+        #: for its AA+EC shard (see :class:`WindowAuthority`).
+        self._window = None
         # Single-append entry point: controlets now group-commit via
         # log_append_batch, but the one-at-a-time surface stays for
         # external writers and tooling (identical dedup semantics).
@@ -204,33 +205,22 @@ class SharedLogActor(Actor):
         appends (a rid already sequenced keeps its original position and
         is not re-appended).
 
-        During a reshard window, entries for *moved* keys pass the
-        window gate: a migrated copy (``mig``) of a key a client wrote
-        during the window is refused (``skipped`` — the copy is older by
-        construction); a client write stamped with a stale ring
-        generation is refused (``wrong_shard`` — it would land only on
-        the old owner and be lost at the cutover); an in-generation
-        client write marks the key dirty.  Clean migrated copies enter
-        the log as plain put entries, so replaying replicas need no
-        special casing."""
+        During a reshard window every entry passes the window gate
+        (:meth:`ReshardWindow.admit`); a refusal answers ``skipped`` or
+        ``wrong_shard`` instead of a position.  Clean migrated copies
+        enter the log as plain put entries, so replaying replicas need
+        no special casing."""
         rid = d.get("rid")
         if rid is not None:
             pos = self._rid_pos.get(rid)
             if pos is not None:
                 self.dup_appends += 1
                 return {"pos": pos, "dup": True}
-        win = self._reshard
+        win = self._window
         if win is not None:
-            key = d["key"]
-            moved = win["old"].lookup(key) != win["new"].lookup(key)
-            if moved:
-                if d.get("mig"):
-                    if key in win["dirty"]:
-                        return {"skipped": True}
-                elif gen != win["gen"]:
-                    return {"wrong_shard": True}
-                else:
-                    win["dirty"].add(key)
+            refused = win.admit(d["key"], gen, bool(d.get("mig")))
+            if refused is not None:
+                return {refused: True}
         entry = self.log.append(
             writer=writer, op=d["op"], key=d["key"], value=d.get("val"), rid=rid,
         )
@@ -253,24 +243,6 @@ class SharedLogActor(Actor):
         self.batch_appends += 1
         self.batched_entries += len(results)
         self.respond(msg, "appended_batch", {"results": results})
-
-    def _on_reshard_begin(self, msg: Message) -> None:
-        gen = int(msg.payload["gen"])
-        if self._reshard is None or self._reshard["gen"] != gen:
-            self._reshard = {
-                "gen": gen,
-                "old": HashRing(list(msg.payload["old"])),
-                "new": HashRing(list(msg.payload["new"])),
-                "dirty": set(),
-            }
-        self.respond(msg, "ok", {"gen": gen})
-
-    def _on_reshard_end(self, msg: Message) -> None:
-        if (
-            self._reshard is not None
-            and self._reshard["gen"] == int(msg.payload.get("gen", -1))
-        ):
-            self._reshard = None
 
     def metrics_group(self) -> Dict[str, float]:
         return {
@@ -311,7 +283,7 @@ class SharedLogActor(Actor):
     def snapshot_state(self):
         s = super().snapshot_state()
         s.update({
-            "reshard_gen": self._reshard["gen"] if self._reshard else 0,
+            "reshard_gen": self.window_gen,
             "base": self.log.base,
             "tail": self.log.tail,
             "entries": [

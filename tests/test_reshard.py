@@ -198,6 +198,6 @@ def test_client_ring_is_patched_incrementally():
         assert "s2" in client._ring.members
         assert client._ring_gen == 1
         # the window is committed, so no dual-route state lingers
-        assert client._reshard is None and client._old_ring is None
+        assert client._window is None
 
     _run(dep, proc())
