@@ -346,6 +346,11 @@ class FlowWalker:
             base_attr = self._container_attr(target.value, ctx)
             if base_attr is None:
                 return
+            if isinstance(value, ast.Call) and isinstance(value.func, ast.Name) \
+                    and value.func.id == "Pump":
+                # per-key pump table entry (self._peer_pumps[p] = Pump(...))
+                self._record_pump(base_attr, value, line, ctx)
+                return
             if isinstance(target.slice, ast.Slice):
                 lower = target.slice.lower
                 if lower is None or (isinstance(lower, ast.Constant)
@@ -355,7 +360,7 @@ class FlowWalker:
                 return
             if isinstance(value, ast.Constant) and value.value is True \
                     and looks_like_flag(base_attr):
-                # per-key flag dict (e.g. _peer_busy[peer_id] = True)
+                # per-key flag dict (e.g. _busy[peer_id] = True)
                 ctx.steps.append(self._step("flag-set", base_attr + "[]", line))
             elif isinstance(value, ast.Constant) and value.value is False \
                     and looks_like_flag(base_attr):

@@ -75,6 +75,8 @@ from repro.analysis.program import (
     arg_or_kw,
     closure_body,
     const_str,
+    driven_pump,
+    pump_bindings,
     self_attr,
 )
 from repro.analysis.summaries import DATALET_READ_OPS
@@ -443,6 +445,11 @@ class _Tracer:
     def _do_call(self, node, ctx, frame):
         f = node.func
         if isinstance(f, ast.Attribute):
+            issue = self.index.fact(frame.cls, pump_bindings).get(driven_pump(node))
+            if issue is not None:
+                # driving a pump runs its issue callable (inline when
+                # the pump is idle); the queued item is not a callable
+                return self._inline_method(issue, None, ctx, frame)
             base = f.value
             if isinstance(base, ast.Name) and base.id == "self":
                 return self._do_self_call(node, f.attr, ctx, frame)
@@ -567,6 +574,12 @@ class _Tracer:
                 results.append((c, "fell" if st == "return" else st))
             return results
         # generic same-class helper: inline with parameter binding
+        return self._inline_method(attr, node, ctx, frame)
+
+    def _inline_method(self, attr, node, ctx, frame):
+        """Inline ``self.<attr>`` (virtual dispatch on the frame's
+        class, cycle-guarded), binding callable arguments of the call
+        ``node`` (None: bind nothing) to its parameters."""
         fn, owner = self.index.resolve(frame.cls, attr)
         if fn is None:
             return [(ctx, "fell")]
@@ -577,16 +590,13 @@ class _Tracer:
         try:
             env: Dict[str, object] = {}
             params = [a.arg for a in fn.args.args[1:]]  # skip self
-            for i, arg in enumerate(node.args):
-                if i < len(params):
-                    v = self._resolve_callable(arg, ctx, frame)
-                    if v is not None:
-                        env[params[i]] = v
-            for k in node.keywords:
-                if k.arg in params:
-                    v = self._resolve_callable(k.value, ctx, frame)
-                    if v is not None:
-                        env[k.arg] = v
+            supplied = [] if node is None else (
+                list(zip(params, node.args))
+                + [(k.arg, k.value) for k in node.keywords if k.arg in params])
+            for name, arg in supplied:
+                v = self._resolve_callable(arg, ctx, frame)
+                if v is not None:
+                    env[name] = v
             sub = replace(frame, file=owner.file)
             results = []
             for c, st in self._walk_sub(fn.body, ctx, env, sub):

@@ -383,6 +383,9 @@ def _retry_scan(table: ProgramIndex, cls: str):
                     if node.func.attr in ("append", "extend", "insert",
                                           "appendleft", "push"):
                         target = node.func.value
+                        if isinstance(target, ast.Attribute) \
+                                and target.attr == "queue":
+                            target = target.value  # a pump's own queue
                         while isinstance(target, ast.Subscript):
                             target = target.value
                         if self_attr(target) is not None:

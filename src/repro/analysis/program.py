@@ -19,16 +19,23 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 __all__ = [
+    "PUMP_DRIVERS",
     "ClassInfo",
     "ProgramIndex",
     "SourceFile",
     "arg_or_kw",
     "closure_body",
     "const_str",
+    "driven_pump",
     "package_root",
     "parse_pragmas",
+    "pump_bindings",
     "self_attr",
 ]
+
+#: methods of :class:`repro.core.controlet.Pump` that run the bound
+#: issue callable synchronously (push/kick drain inline when idle).
+PUMP_DRIVERS = {"push", "kick", "requeue_front"}
 
 _PRAGMA = re.compile(r"#\s*lint:\s*allow\[([^\]]*)\]")
 _EXTERNAL_PRAGMA = re.compile(r"#\s*protocol:\s*external\b")
@@ -201,3 +208,46 @@ class ProgramIndex:
         if key not in self._facts:
             self._facts[key] = compute(self, cls)
         return self._facts[key]
+
+
+def pump_bindings(index: ProgramIndex, cls: str) -> Dict[str, str]:
+    """``attr -> issue method`` for every pump bound along the ancestry
+    of ``cls`` (most-derived binding wins): ``self.<attr> =
+    Pump(self.<m>)``, or a per-key table entry ``self.<attr>[k] =
+    Pump(lambda ...: self.<m>(...))``.  Driving such a pump
+    (:func:`driven_pump`) runs ``<m>``, so passes that follow calls
+    follow the pump into it.  Other issue callables (local closures)
+    resolve to nothing here.  Use through :meth:`ProgramIndex.fact`."""
+    out: Dict[str, str] = {}
+    for ancestor in index.ancestry(cls):
+        for node in index.methods(ancestor).values():
+            for n in ast.walk(node):
+                if not (isinstance(n, ast.Assign) and isinstance(n.value, ast.Call)
+                        and isinstance(n.value.func, ast.Name)
+                        and n.value.func.id == "Pump"):
+                    continue
+                issue = arg_or_kw(n.value, 0, "issue")
+                if isinstance(issue, ast.Lambda) and isinstance(issue.body, ast.Call):
+                    issue = issue.body.func
+                method = self_attr(issue)
+                if method is None:
+                    continue
+                for tgt in n.targets:
+                    while isinstance(tgt, ast.Subscript):
+                        tgt = tgt.value
+                    attr = self_attr(tgt)
+                    if attr is not None:
+                        out.setdefault(attr, method)
+    return out
+
+
+def driven_pump(call: ast.Call) -> Optional[str]:
+    """``X`` when ``call`` drives ``self.X`` or ``self.X[k]`` through a
+    :data:`PUMP_DRIVERS` method, else None."""
+    func = call.func
+    if not (isinstance(func, ast.Attribute) and func.attr in PUMP_DRIVERS):
+        return None
+    recv = func.value
+    while isinstance(recv, ast.Subscript):
+        recv = recv.value
+    return self_attr(recv)

@@ -37,7 +37,14 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.analysis.conformance import check_index
-from repro.analysis.program import ProgramIndex, arg_or_kw, const_str, self_attr
+from repro.analysis.program import (
+    ProgramIndex,
+    arg_or_kw,
+    const_str,
+    driven_pump,
+    pump_bindings,
+    self_attr,
+)
 
 __all__ = [
     "DATALET_ATTR",
@@ -161,11 +168,6 @@ class SummaryTable:
         return "\n".join(lines)
 
 
-#: methods of :class:`repro.core.controlet.Pump` that run the bound
-#: issue callable synchronously (push/kick drain inline when idle).
-_PUMP_DRIVERS = {"push", "kick", "requeue_front"}
-
-
 class _MethodScanner(ast.NodeVisitor):
     """Direct (non-transitive) footprint of one method body."""
 
@@ -173,9 +175,10 @@ class _MethodScanner(ast.NodeVisitor):
         self.reads: Set[str] = set()
         self.writes: Set[str] = set()
         self.calls: Set[str] = set()  # self.<method>() invocations
-        #: ``self.<attr> = Pump(self.<issue>)`` bindings for this class:
-        #: driving the pump runs the issue callable (synchronously when
-        #: the pump is idle), so its footprint belongs to the driver.
+        #: pump attr -> issue method for this class
+        #: (:func:`~repro.analysis.program.pump_bindings`): driving the
+        #: pump runs the issue callable (synchronously when the pump is
+        #: idle), so its footprint belongs to the driver.
         self.pumps = pumps or {}
         self.opaque = False
 
@@ -220,8 +223,13 @@ class _MethodScanner(ast.NodeVisitor):
             # so count it as BOTH read and write (conservative).
             self.reads.add(func.value.attr)
             self.writes.add(func.value.attr)
-            if func.value.attr in self.pumps and func.attr in _PUMP_DRIVERS:
-                self.calls.add(self.pumps[func.value.attr])
+        pump = driven_pump(node)
+        if pump in self.pumps:
+            # driving a pump (a table entry included) mutates it and
+            # runs its issue callable
+            self.reads.add(pump)
+            self.writes.add(pump)
+            self.calls.add(self.pumps[pump])
         # bare self passed as an argument escapes the analysis entirely —
         # except into known-safe constructors: a Request only reaches
         # back through ``respond``/``_complete_request`` (an emit plus
@@ -232,31 +240,6 @@ class _MethodScanner(ast.NodeVisitor):
                     continue
                 self.opaque = True
         self.generic_visit(node)
-
-
-def _pump_bindings(index: ProgramIndex, cls: str) -> Dict[str, str]:
-    """``attr -> issue method`` for every ``self.<attr> = Pump(self.<m>)``
-    along the ancestry (the canonical one-in-flight drain helper from
-    core/controlet.py).  Issue callables that are not plain self-method
-    references (e.g. local closures) resolve to nothing here — their
-    effects are already folded in because the scanner visits nested
-    defs — so only the cross-method indirection needs the table.
-    Memoized per class through :meth:`ProgramIndex.fact`."""
-    out: Dict[str, str] = {}
-    for ancestor in index.ancestry(cls):
-        for node in index.methods(ancestor).values():
-            for n in ast.walk(node):
-                if not (isinstance(n, ast.Assign) and isinstance(n.value, ast.Call)
-                        and isinstance(n.value.func, ast.Name)
-                        and n.value.func.id == "Pump"):
-                    continue
-                issue = self_attr(arg_or_kw(n.value, 0, "issue"))
-                if issue is None:
-                    continue
-                for tgt in map(self_attr, n.targets):
-                    if tgt is not None:
-                        out.setdefault(tgt, issue)
-    return out
 
 
 def _footprint(
@@ -277,7 +260,7 @@ def _footprint(
         fp.opaque = True
         cache[key] = fp
         return fp
-    scanner = _MethodScanner(index.fact(cls, _pump_bindings))
+    scanner = _MethodScanner(index.fact(cls, pump_bindings))
     # scan the whole body *including* nested callback closures: their
     # accesses happen at later events, and folding them in only widens
     # the footprint (conservative in the right direction)

@@ -11,7 +11,7 @@ its own.  Reads are local.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.core.controlet import Controlet, Pump
 from repro.core.request import Request
@@ -41,14 +41,13 @@ class AAEventualControlet(Controlet):
         #: (via snapshot) or belongs to the previous service generation.
         self._start_at_tail = start_cursor_at_tail
         self.applied_from_log = 0
-        #: replayed batches waiting for the datalet, in log order; see
-        #: :meth:`_issue_apply` for why they must be serialized.
+        #: replayed batches waiting for the datalet, in log order, one
+        #: in flight (:meth:`_issue_apply`).
         self._applies = Pump(self._issue_apply)
         #: accepted writes waiting for the sequencer, in arrival order;
-        #: drained in group-commit batches by :meth:`_pump_orders` with
-        #: at most one sequenced batch in flight per controlet.
-        self._order_queue: List[Tuple[Request, str, str, Optional[str]]] = []
-        self._order_busy = False
+        #: drained in group-commit batches by :meth:`_issue_accepts`
+        #: with at most one sequenced batch in flight per controlet.
+        self._accepts = Pump(self._issue_accepts, batch=max(1, self.config.group_commit_max))
         self.group_commits = 0
         self.group_commit_ops = 0
         self._draining: Optional[Dict[str, object]] = None
@@ -84,16 +83,7 @@ class AAEventualControlet(Controlet):
         our datalet, and replaying from an earlier position is always
         safe (log order is the authority) while skipping is not."""
         cursor = max(0, self.cursor - self.config.log_fetch_max)
-
-        def with_snap(resp: Optional[Message], err: Optional[BespoError]) -> None:
-            if err is not None or resp is None or resp.type != "snapshot":
-                self.respond(msg, "error", {"error": f"snapshot failed: {err}"})
-                return
-            self.respond(msg, "sync_state", {
-                "data": resp.payload["data"], "cursor": cursor,
-            })
-
-        self.datalet_call("snapshot", {}, callback=with_snap)
+        self._reply_sync_state(msg, {"cursor": cursor})
 
     def _fetch_initial_tail(self) -> None:
         self.call(
@@ -127,45 +117,23 @@ class AAEventualControlet(Controlet):
     # ------------------------------------------------------------------
     # write path
     # ------------------------------------------------------------------
-    def handle_put(self, msg: Message) -> None:
-        self._accept_write(msg, "put")
-
-    def handle_del(self, msg: Message) -> None:
-        self._accept_write(msg, "del")
-
-    def _accept_write(self, msg: Message, op: str) -> None:
-        key = msg.payload["key"]
-        val = msg.payload.get("val")
-        # Local gate catches a retry re-entering at this active; the
-        # sequencer's own rid→pos dedup catches retries that were routed
-        # to a *different* active (sharedlog/log.py).
-        req = self.begin_write(msg, op)
-        if req is None:
-            return
-        # Group commit: writes arriving while a sequenced batch is in
-        # flight accumulate here and go out together, amortizing the
-        # sequencer round-trip (one ``log_append_batch`` instead of N
-        # ``log_append``s) without changing arrival order.
-        self._order_queue.append((req, op, key, val))
-        self._pump_orders()
-
-    def _pump_orders(self) -> None:
-        """At most one sequenced batch in flight per controlet.
+    def _issue_accepts(self, batch: List[Request], done: Callable[..., None]) -> None:
+        """Group commit: writes arriving while a sequenced batch is in
+        flight accumulate in the accept pump and go out together,
+        amortizing the sequencer round-trip (one ``log_append_batch``
+        instead of N ``log_append``s) without changing arrival order.
 
         One-in-flight is what preserves per-key FIFO for writes accepted
         at the same active: batch N is fully sequenced before batch N+1
         leaves, so the log order of two same-key writes matches their
-        arrival order here (the PR 7 pump pattern, applied to ordering
-        round-trips instead of datalet applies)."""
-        if self._order_busy or not self._order_queue:
-            return
-        self._order_busy = True
-        take = max(1, self.config.group_commit_max)
-        batch = self._order_queue[:take]
-        del self._order_queue[:take]
+        arrival order here.  The local rid gate (``begin_write``) only
+        catches a retry re-entering at this active; the sequencer's own
+        rid→pos dedup catches retries routed to a *different* active
+        (sharedlog/log.py)."""
         entries = []
-        for req, op, key, val in batch:
-            entry = {"op": op, "key": key, "val": val}
+        for req in batch:
+            entry = {"op": req.op, "key": req.msg.payload["key"],
+                     "val": req.msg.payload.get("val")}
             if req.rid is not None:
                 entry["rid"] = req.rid
             entries.append(entry)
@@ -175,17 +143,17 @@ class AAEventualControlet(Controlet):
             self._metrics.histogram("batch.group_commit_size").observe(len(batch))
 
         def on_appended(resp: Optional[Message], err: Optional[BespoError]) -> None:
-            self._order_busy = False
+            done(drain=False)
             if err is not None or resp is None or resp.type != "appended_batch":
                 self.stats["errors"] += len(batch)
-                for req, _op, _key, _val in batch:
+                for req in batch:
                     req.fail(f"shared log append failed: {err}")
-                self._pump_orders()
+                self._accepts.kick()
                 return
             results = resp.payload["results"]
-            fresh: List[Tuple[Request, str]] = []
+            fresh: List[Request] = []
             ops = []
-            for (req, op, key, val), r in zip(batch, results):
+            for req, r in zip(batch, results):
                 if r.get("dup"):
                     # The sequencer has this rid already: the original
                     # attempt owns the log slot and replay delivers the
@@ -202,25 +170,26 @@ class AAEventualControlet(Controlet):
                     self.stats["errors"] += 1
                     req.fail("wrong_shard")
                     continue
-                fresh.append((req, op))
-                ops.append({"op": op, "key": key, "val": val})
+                fresh.append(req)
+                ops.append({"op": req.op, "key": req.msg.payload["key"],
+                            "val": req.msg.payload.get("val")})
             if not fresh:
-                self._pump_orders()
+                self._accepts.kick()
                 return
 
             def after_local(dresp: Optional[Message], derr: Optional[BespoError]) -> None:
                 if derr is not None or dresp is None or dresp.type == "error":
                     self.stats["errors"] += len(fresh)
-                    for req, _op in fresh:
+                    for req in fresh:
                         req.fail(f"local apply failed: {derr}")
                 else:
                     # apply_batch tolerates deletes of absent keys (our
                     # replica may simply not have replayed the put yet;
                     # the log entry *is* the delete), so every member is
                     # applied-or-moot here: ack them all.
-                    for req, _op in fresh:
+                    for req in fresh:
                         req.ack()
-                self._pump_orders()
+                self._accepts.kick()
 
             # One ordered apply_batch for the whole group: same
             # serialization the replay path uses, so accept-time applies
@@ -240,10 +209,6 @@ class AAEventualControlet(Controlet):
     # ------------------------------------------------------------------
     # resharding: log-ordered migration
     # ------------------------------------------------------------------
-    def _census_backlog(self) -> bool:
-        # accepted writes not yet sequenced into our log
-        return self._order_busy or bool(self._order_queue)
-
     def _migrate_barrier(self, then) -> None:
         """Reshard census barrier: drain our accepted-but-unsequenced
         writes, then replay our own log up to its current tail — after
@@ -344,22 +309,6 @@ class AAEventualControlet(Controlet):
             self.applied_from_log += len(ops)
             self._applies.push(ops)
 
-    def _issue_apply(self, ops: list, done: Callable[[], None]) -> None:
-        """At most one replay apply_batch in flight to the datalet.
-
-        Fire-and-forget sends are not enough: the host CPU is a
-        multi-slot server, so a small batch chasing a large one (exactly
-        the shape a recovering node's catch-up produces — one big
-        backlog batch, then the fresh tail) can finish service first and
-        apply log entries out of order, permanently diverging this
-        replica.  Found by the rolling-restart chaos schedule; the
-        one-in-flight discipline lives in :class:`Pump`."""
-
-        def applied(resp: Optional[Message], err: Optional[BespoError]) -> None:
-            done()
-
-        self.datalet_call("apply_batch", {"ops": ops}, callback=applied)
-
     # ------------------------------------------------------------------
     # transition support
     # ------------------------------------------------------------------
@@ -409,7 +358,7 @@ class AAEventualControlet(Controlet):
             "draining": self._draining is not None,
             "apply_queue": len(self._applies.queue),
             "apply_busy": self._applies.busy,
-            "order_queue": len(self._order_queue),
-            "order_busy": self._order_busy,
+            "order_queue": len(self._accepts),
+            "order_busy": self._accepts.busy,
         })
         return s

@@ -49,14 +49,10 @@ class AAStrongControlet(Controlet):
         relayed writes covers everything committed here."""
         self._relay_to = msg.payload["controlet"]
 
-        def with_snap(resp: Optional[Message], err: Optional[BespoError]) -> None:
-            if err is not None or resp is None or resp.type != "snapshot":
-                self._relay_to = None
-                self.respond(msg, "error", {"error": f"snapshot failed: {err}"})
-                return
-            self.respond(msg, "sync_state", {"data": resp.payload["data"]})
+        def forget() -> None:
+            self._relay_to = None
 
-        self.datalet_call("snapshot", {}, callback=with_snap)
+        self._reply_sync_state(msg, on_fail=forget)
 
     def _on_aa_sync_complete(self, msg: Message) -> None:
         if msg.payload.get("controlet") == self._relay_to:
@@ -161,12 +157,6 @@ class AAStrongControlet(Controlet):
     # ------------------------------------------------------------------
     # write path
     # ------------------------------------------------------------------
-    def handle_put(self, msg: Message) -> None:
-        self._accept_write(msg, "put")
-
-    def handle_del(self, msg: Message) -> None:
-        self._accept_write(msg, "del")
-
     def _accept_write(self, msg: Message, op: str) -> None:
         key = msg.payload["key"]
         # The dedup gate only catches a retry re-entering at *this*

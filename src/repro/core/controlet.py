@@ -7,12 +7,13 @@ cluster-map updates, performs recovery when launched as a replacement
 pair, and supports live retirement during topology/consistency
 transitions (§V).
 
-Subclasses implement four hooks — ``handle_put``/``handle_get``/
-``handle_del``/``handle_scan`` — plus whatever replication message
-handlers their protocol needs.  Everything else (heartbeats, config
-updates, transition forwarding, recovery, stats) lives here, which is
-exactly the reuse story the paper tells: the MS+SC template is ~150 LoC
-on top of this framework.
+Subclasses supply their write path — an accept step for the shared
+accept pump (the master-slave one lives here) or an ``_accept_write``
+override — plus whatever read routing and replication message handlers
+their protocol needs.  Everything else (heartbeats, config updates,
+transition forwarding, recovery, stats) lives here, which is exactly
+the reuse story the paper tells: the MS+SC template is ~150 LoC on top
+of this framework.
 """
 
 from __future__ import annotations
@@ -41,10 +42,9 @@ RID_CACHE = 65536
 class Pump:
     """One-in-flight drain loop: busy flag + FIFO queue + retry-requeue.
 
-    Every hot path in the batched controlets serializes its async work
-    through the same hand-rolled shape — a queue, a busy flag, and a
-    completion callback that releases the flag and re-enters the drain.
-    ``Pump`` is that shape as a reusable primitive, so there is exactly
+    Every hot path in the controlets serializes its async work through
+    this one shape — a queue, a busy flag, and a completion callback
+    that releases the flag and re-enters the drain — so there is exactly
     one canonical implementation for the flow-control static passes
     (:mod:`repro.analysis.flow`) to certify.
 
@@ -53,14 +53,23 @@ class Pump:
     success, error response, and RPC timeout alike.  A dropped ``done``
     freezes the pump permanently; the pump-liveness pass checks every
     issue callable wired into a ``Pump`` for exactly this obligation.
+
+    ``batch=n`` hands ``issue`` a list of up to ``n`` queued items per
+    call instead of one item (coalesced frames; ``n`` is a
+    :class:`~repro.core.config.ControlConfig` cap).  ``done(drain=False)``
+    releases the slot without draining: the issue callable processes
+    its results with the pump idle — work queued meanwhile may start at
+    once — and re-enters the drain itself with :meth:`kick` afterwards.
     """
 
-    __slots__ = ("issue", "queue", "busy")
+    __slots__ = ("issue", "queue", "busy", "batch")
 
-    def __init__(self, issue: Callable[[Any, Callable[[], None]], None]):
+    def __init__(self, issue: Callable[[Any, Callable[..., None]], None],
+                 batch: int = 0):
         self.issue = issue
         self.queue: List[Any] = []
         self.busy = False
+        self.batch = batch
 
     def __len__(self) -> int:
         return len(self.queue)
@@ -81,17 +90,26 @@ class Pump:
         if self.busy or not self.queue:
             return
         self.busy = True
-        item = self.queue.pop(0)
+        if self.batch:
+            item = self.queue[:self.batch]
+            del self.queue[:self.batch]
+        else:
+            item = self.queue.pop(0)
 
-        def done() -> None:
+        def done(drain: bool = True) -> None:
             self.busy = False
-            self.kick()
+            if drain:
+                self.kick()
 
         self.issue(item, done)
 
 
 class Controlet(Actor):
     """Common machinery for every topology/consistency controlet."""
+
+    #: redirect reason for a client write reaching a non-head replica;
+    #: None where every replica accepts writes (the active-active combos).
+    write_redirect_why: Optional[str] = None
 
     def __init__(
         self,
@@ -189,6 +207,10 @@ class Controlet(Actor):
         self._rid_done: Dict[str, Tuple[str, Dict[str, Any]]] = {}
         self._rid_order: Deque[str] = deque(maxlen=RID_CACHE)
         self._rid_pending: Dict[str, List[Message]] = {}
+        #: admitted client writes awaiting the combo's accept step, in
+        #: acceptance order (:meth:`_issue_accepts`); built by combos
+        #: whose write path runs through it.
+        self._accepts: Optional[Pump] = None
         self.register("put", self._client_op)
         self.register("get", self._client_op)
         self.register("del", self._client_op)
@@ -451,6 +473,24 @@ class Controlet(Actor):
             callback=on_state,
             timeout=self.config.replication_timeout * 10,
         )
+
+    def _reply_sync_state(self, msg: Message, extra: Optional[Dict[str, Any]] = None,
+                          on_fail: Optional[Callable[[], None]] = None) -> None:
+        """Recovery-source side of a sync pull: snapshot our datalet and
+        answer ``msg`` with ``sync_state`` (the data plus the protocol
+        cursor fields in ``extra``).  On a failed snapshot ``on_fail``
+        undoes whatever the pull armed, then the puller gets an error
+        and retries."""
+
+        def with_snap(resp: Optional[Message], err: Optional[BespoError]) -> None:
+            if err is not None or resp is None or resp.type != "snapshot":
+                if on_fail is not None:
+                    on_fail()
+                self.respond(msg, "error", {"error": f"snapshot failed: {err}"})
+                return
+            self.respond(msg, "sync_state", {"data": resp.payload["data"], **(extra or {})})
+
+        self.datalet_call("snapshot", {}, callback=with_snap)
 
     def on_sync_state(self, state: Dict[str, Any]) -> None:
         """Hook: adopt protocol cursors carried by a ``sync_state``
@@ -742,10 +782,85 @@ class Controlet(Actor):
         self._rid_order.append(rid)
         self._rid_done[rid] = (type, payload if payload is not None else {})
 
-    # -- subclass protocol hooks -------------------------------------------
+    # -- write path: admission + the accept pump ---------------------------
     def handle_put(self, msg: Message) -> None:
+        self._accept_write(msg, "put")
+
+    def handle_del(self, msg: Message) -> None:
+        self._accept_write(msg, "del")
+
+    def _accept_write(self, msg: Message, op: str) -> None:
+        """Admit a client write: writes entering at a non-head replica
+        bounce (unless ``write_redirect_why`` is None — any replica
+        accepts), the rid gate runs, and the request joins the accept
+        pump (:meth:`_issue_accepts`)."""
+        if self.write_redirect_why is not None and not self.is_head:
+            self.redirect(msg, self.shard.head.controlet, self.write_redirect_why)
+            return
+        req = self.begin_write(msg, op)
+        if req is None:
+            return  # duplicate of a completed/in-flight rid
+        self._accepts.push(req)
+
+    def _issue_accepts(self, batch: List[Request], done: Callable[..., None]) -> None:
+        """The master-slave accept step: the head's own local applies,
+        one coalesced ``apply_batch`` in flight.
+
+        Per-op datalet calls are not enough: response arrival order is
+        jittered, so the order writes leave the head (response order)
+        could invert the order its datalet applied them — the head would
+        then permanently disagree with its replicas on racing same-key
+        writes.  One batch in flight pins acceptance order = head apply
+        order = replication order, and amortizes the head's WAL fsync
+        (one commit group per batch).  Each applied member continues in
+        :meth:`_accepted`."""
+        ops = [{"op": r.op, "key": r.msg.payload["key"],
+                "val": r.msg.payload.get("val")} for r in batch]
+
+        def after_local(resp: Optional[Message], err: Optional[BespoError]) -> None:
+            done(drain=False)
+            if err is not None or resp is None or resp.type == "error":
+                self.stats["errors"] += len(batch)
+                for req in batch:
+                    req.fail(f"local datalet write failed: {err}")
+            else:
+                results = resp.payload.get("results") or ["ok"] * len(batch)
+                for req, status in zip(batch, results):
+                    if status != "ok":
+                        # e.g. delete of a missing key: nothing applied,
+                        # so nothing replicates for this member
+                        req.finish("error", {"error": status,
+                                             "key": req.msg.payload["key"]})
+                    else:
+                        self._accepted(req)
+            self._accepts.kick()
+
+        self.datalet_call("apply_batch", {"ops": ops, "want_results": True},
+                          callback=after_local)
+
+    def _accepted(self, req: Request) -> None:
+        """Hook: ``req`` is applied at the head's datalet; replicate it
+        and complete the request per the combo's commit point."""
         raise NotImplementedError
 
+    def _issue_apply(self, ops: list, done: Callable[[], None]) -> None:
+        """At most one replicated ``apply_batch`` in flight to the
+        datalet (EC slaves, shared-log replay).
+
+        Fire-and-forget sends are not enough: the host CPU is a
+        multi-slot server, so a small batch chasing a large one (exactly
+        the shape a recovering node's catch-up produces — one big
+        backlog batch, then the fresh tail) can finish service first and
+        apply stream ops out of order, permanently diverging this
+        replica.  Found by the rolling-restart chaos schedule; the
+        one-in-flight discipline lives in :class:`Pump`."""
+
+        def applied(resp: Optional[Message], err: Optional[BespoError]) -> None:
+            done()
+
+        self.datalet_call("apply_batch", {"ops": ops}, callback=applied)
+
+    # -- read path -----------------------------------------------------------
     def handle_get(self, msg: Message) -> None:
         """Default read path: serve from the local datalet."""
         self.datalet_call(
@@ -753,9 +868,6 @@ class Controlet(Actor):
             {"key": msg.payload["key"]},
             callback=lambda resp, err: self._relay(msg, resp, err),
         )
-
-    def handle_del(self, msg: Message) -> None:
-        raise NotImplementedError
 
     def handle_scan(self, msg: Message) -> None:
         """Default scan path: local datalet (ordered engines only)."""
@@ -914,10 +1026,10 @@ class Controlet(Actor):
         poll()
 
     def _census_backlog(self) -> bool:
-        """Hook: True while admitted writes may still sit ahead of the
-        local engine (an accept queue, an ordering batch in flight).
-        Default: nothing buffers ahead of the engine."""
-        return False
+        """True while admitted writes may still sit ahead of the local
+        engine: queued at, or in flight through, the accept pump."""
+        pump = self._accepts
+        return pump is not None and (pump.busy or bool(pump.queue))
 
     def _migration_census(self, then: Callable[[List[str]], None]) -> None:
         """Snapshot the local engine and keep only keys this shard owns

@@ -87,7 +87,7 @@ class AAMSHybridControlet(AAEventualControlet):
             def issue(frame: Dict[str, object], done: Callable[[], None],
                       _slave: str = slave) -> None:
                 # The ack is pure flow control, same discipline as
-                # ms_ec._pump_replicate: a dropped or timed-out frame is
+                # ms_ec._issue_replicate: a dropped or timed-out frame is
                 # not retried here — the slave's gap-repair anti-entropy
                 # re-fetches anything it carried.  One-in-flight per
                 # link is what bounds the fan-out: a slow slave queues

@@ -24,6 +24,7 @@ from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.core.controlet import Controlet, Pump
+from repro.core.request import Request
 from repro.errors import BespoError
 from repro.net.message import Message
 
@@ -36,14 +37,15 @@ RETAIN_LIMIT = 8192
 class MSEventualControlet(Controlet):
     """Async-propagation controlet with gap-repair anti-entropy."""
 
+    write_redirect_why = "writes go to the master"
+
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # -- master state ---------------------------------------------
         #: accepted client writes awaiting their local apply, in
         #: acceptance order; coalesced into one ``apply_batch`` at a
-        #: time (:meth:`_pump_accepts`).
-        self._accept_queue: List = []
-        self._accept_busy = False
+        #: time (:meth:`_issue_accepts`).
+        self._accepts = Pump(self._issue_accepts, batch=max(1, self.config.ec_batch_max))
         #: buffered (op, key, val, rid) awaiting propagation.
         self._backlog: List[Tuple[str, str, Optional[str], Optional[str]]] = []
         self._flush_timer_armed = False
@@ -63,11 +65,10 @@ class MSEventualControlet(Controlet):
         self.propagated = 0
         self.resends_served = 0
         self.snapshot_syncs_served = 0
-        #: per-peer coalescing buffers: ``peer -> [[start_seq, ops],...]``
-        #: segments awaiting the link (contiguous segments merge), and
-        #: the per-peer one-frame-in-flight flag (:meth:`_pump_replicate`).
-        self._peer_pending: Dict[str, List[list]] = {}
-        self._peer_busy: Dict[str, bool] = {}
+        #: per-peer link pumps over ``(seq, op)`` items: one replicate
+        #: frame in flight per peer; everything flushed meanwhile rides
+        #: the next frame (:meth:`_issue_replicate`).
+        self._peer_pumps: Dict[str, Pump] = {}
         self.replicate_frames = 0
         self.replicate_frame_ops = 0
         # -- slave state --------------------------------------------------
@@ -76,9 +77,8 @@ class MSEventualControlet(Controlet):
         self._repair_pending = False
         self.applied_from_master = 0
         self.gaps_detected = 0
-        #: replicated batches waiting for the datalet, in stream order;
-        #: serialized for the same reason as AA+EC log replay (see
-        #: :meth:`_issue_apply`).
+        #: replicated batches waiting for the datalet, in stream order,
+        #: one in flight (:meth:`_issue_apply`).
         self._applies = Pump(self._issue_apply)
         if self.rejoining and self._view_says_head():
             # A rejoining EC *master* is the authority for acked data:
@@ -198,86 +198,16 @@ class MSEventualControlet(Controlet):
             master, seq = self._stream_id, self._seq
         else:
             master, seq = self._stream
-
-        def with_snap(resp: Optional[Message], err: Optional[BespoError]) -> None:
-            if err is not None or resp is None or resp.type != "snapshot":
-                self.respond(msg, "error", {"error": f"snapshot failed: {err}"})
-                return
-            self.respond(msg, "sync_state", {
-                "data": resp.payload["data"], "master": master, "seq": seq,
-            })
-
-        self.datalet_call("snapshot", {}, callback=with_snap)
+        self._reply_sync_state(msg, {"master": master, "seq": seq})
 
     # ------------------------------------------------------------------
     # write path (master)
     # ------------------------------------------------------------------
-    def handle_put(self, msg: Message) -> None:
-        self._accept_write(msg, "put")
-
-    def handle_del(self, msg: Message) -> None:
-        self._accept_write(msg, "del")
-
-    def _accept_write(self, msg: Message, op: str) -> None:
-        if not self.is_head:
-            self.redirect(msg, self.shard.head.controlet, "writes go to the master")
-            return
-        req = self.begin_write(msg, op)
-        if req is None:
-            return  # duplicate of a completed/in-flight rid
-        self._accept_queue.append(req)
-        self._pump_accepts()
-
-    def _pump_accepts(self) -> None:
-        """Serialize the master's local applies, one coalesced
-        ``apply_batch`` in flight.
-
-        Per-op datalet calls are not enough: response arrival order is
-        jittered, so the order writes enter the propagation backlog
-        (response order) could invert the order the master's datalet
-        applied them — the master would then permanently disagree with
-        its own slaves on racing same-key writes.  One batch in flight
-        pins acceptance order = master apply order = stream order, and
-        amortizes the master's WAL fsync (one commit group per frame)."""
-        if self._accept_busy or not self._accept_queue:
-            return
-        self._accept_busy = True
-        take = max(1, self.config.ec_batch_max)
-        batch = self._accept_queue[:take]
-        del self._accept_queue[:take]
-        ops = [{"op": r.op, "key": r.msg.payload["key"],
-                "val": r.msg.payload.get("val")} for r in batch]
-
-        def after_local(resp: Optional[Message], err: Optional[BespoError]) -> None:
-            self._accept_busy = False
-            if err is not None or resp is None or resp.type == "error":
-                self.stats["errors"] += len(batch)
-                for req in batch:
-                    req.fail(f"local datalet write failed: {err}")
-                self._pump_accepts()
-                return
-            results = resp.payload.get("results") or ["ok"] * len(batch)
-            for req, status in zip(batch, results):
-                if status != "ok":
-                    # e.g. delete of a missing key: nothing applied, so
-                    # nothing propagates for this member.
-                    req.finish("error", {"error": status,
-                                         "key": req.msg.payload["key"]})
-                    continue
-                # EC: ack as soon as one replica (ours) has the write.
-                req.ack()
-                self._enqueue(req.op, req.msg.payload["key"],
-                              req.msg.payload.get("val"), req.rid)
-            self._pump_accepts()
-
-        self.datalet_call("apply_batch", {"ops": ops, "want_results": True},
-                          callback=after_local)
-
-    def _census_backlog(self) -> bool:
-        # pre-window writes may still sit in the accept queue ahead of
-        # the master's engine; the propagation backlog does not matter —
-        # the census reads the master, the shard's write authority
-        return self._accept_busy or bool(self._accept_queue)
+    def _accepted(self, req: Request) -> None:
+        # EC: ack as soon as one replica (ours) has the write.
+        req.ack()
+        self._enqueue(req.op, req.msg.payload["key"],
+                      req.msg.payload.get("val"), req.rid)
 
     # ------------------------------------------------------------------
     # async propagation (master)
@@ -320,46 +250,37 @@ class MSEventualControlet(Controlet):
         self.propagated += len(batch)
 
     def _queue_replicate(self, peer_id: str, start_seq: int, ops: List[dict]) -> None:
-        """Coalesce ``ops`` into the peer's pending frame.  While a
-        frame to this peer is still in flight, subsequent flushes merge
-        here instead of going out as separate messages — adjacent
-        ``replicate`` sends to the same host collapse into one."""
-        segs = self._peer_pending.setdefault(peer_id, [])
-        copies = [dict(op) for op in ops]
-        if segs and segs[-1][0] + len(segs[-1][1]) == start_seq:
-            segs[-1][1].extend(copies)
-        else:
-            # non-contiguous with the buffered tail (the peer missed a
-            # flush while absent from the view): keep it a separate
-            # segment so the frame's start_seq stays truthful.
-            segs.append([start_seq, copies])
-        self._pump_replicate(peer_id)
+        """Queue ``ops`` on the peer's link pump.  While a frame to this
+        peer is still in flight, subsequent flushes wait there instead
+        of going out as separate messages — adjacent ``replicate``
+        sends to the same host collapse into one frame."""
+        if peer_id not in self._peer_pumps:
+            self._peer_pumps[peer_id] = Pump(
+                lambda items, done: self._issue_replicate(peer_id, items, done),
+                batch=max(1, self.config.replicate_batch_max))
+        self._peer_pumps[peer_id].queue.extend(
+            (start_seq + i, dict(op)) for i, op in enumerate(ops))
+        self._peer_pumps[peer_id].kick()
 
-    def _pump_replicate(self, peer_id: str) -> None:
+    def _issue_replicate(self, peer_id: str, items: List[Tuple[int, dict]],
+                         done: Callable[[], None]) -> None:
         """At most one replicate frame in flight per peer link.
 
-        The ack is pure flow control — a lost or timed-out frame is
-        *not* retried here, because the slave's gap-repair anti-entropy
-        path re-fetches anything a dropped frame carried.  What the
+        The frame ends at the first sequence gap (the peer missed a
+        flush while absent from the view) so its ``start_seq`` stays
+        truthful; the rest goes back to the head of the queue.  The ack
+        is pure flow control — a lost or timed-out frame is *not*
+        retried here, because the slave's gap-repair anti-entropy path
+        re-fetches anything a dropped frame carried.  What the
         one-in-flight rule buys is coalescing (everything flushed while
         the link is busy rides the next frame) and in-order frame
         arrival on the fabric."""
-        if self._peer_busy.get(peer_id):
-            return
-        segs = self._peer_pending.get(peer_id)
-        if not segs:
-            return
-        start_seq, ops = segs[0]
-        cap = max(1, self.config.replicate_batch_max)
-        if len(ops) > cap:
-            send_ops = ops[:cap]
-            segs[0] = [start_seq + cap, ops[cap:]]
-        else:
-            send_ops = ops
-            segs.pop(0)
-            if not segs:
-                del self._peer_pending[peer_id]
-        self._peer_busy[peer_id] = True
+        start_seq = items[0][0]
+        n = next((i for i, (seq, _op) in enumerate(items) if seq != start_seq + i),
+                 len(items))
+        if n < len(items):
+            self._peer_pumps[peer_id].requeue_front(items[n:])
+        send_ops = [op for _seq, op in items[:n]]
         self.replicate_frames += 1
         self.replicate_frame_ops += len(send_ops)
         if self._metrics is not None:
@@ -368,8 +289,7 @@ class MSEventualControlet(Controlet):
             )
 
         def on_ack(resp: Optional[Message], err: Optional[BespoError]) -> None:
-            self._peer_busy[peer_id] = False
-            self._pump_replicate(peer_id)
+            done()
 
         self.call(peer_id, "replicate", {
             "master": self.node_id,
@@ -478,21 +398,6 @@ class MSEventualControlet(Controlet):
         self._repair_pending = False
         self._ack_frame(msg)
 
-    def _issue_apply(self, ops: list, done: Callable[[], None]) -> None:
-        """At most one replicated apply_batch in flight to the datalet.
-
-        The host CPU is a multi-slot server: a small batch chasing a
-        large one (a repair resend followed by the fresh tail) could
-        finish service first and apply stream ops out of order,
-        permanently diverging this slave.  Same defect class the
-        rolling-restart chaos schedule exposed in AA+EC log replay; the
-        one-in-flight discipline lives in :class:`Pump`."""
-
-        def applied(resp: Optional[Message], err: Optional[BespoError]) -> None:
-            done()
-
-        self.datalet_call("apply_batch", {"ops": ops}, callback=applied)
-
     def _request_repair(self, master: str, from_seq: int) -> None:
         if self._repair_pending:
             return
@@ -556,8 +461,8 @@ class MSEventualControlet(Controlet):
         s = super().snapshot_state()
         s.update({
             "seq": self._seq,
-            "accept_queue": len(self._accept_queue),
-            "accept_busy": self._accept_busy,
+            "accept_queue": len(self._accepts),
+            "accept_busy": self._accepts.busy,
             "backlog": [list(entry) for entry in self._backlog],
             "retained_window": [
                 self._retained[0][0], self._retained[-1][0]
@@ -567,9 +472,10 @@ class MSEventualControlet(Controlet):
             "apply_queue": len(self._applies.queue),
             "apply_busy": self._applies.busy,
             "peer_pending": {
-                p: sum(len(ops) for _seq, ops in segs)
-                for p, segs in sorted(self._peer_pending.items())
+                p: len(pump) for p, pump in sorted(self._peer_pumps.items())
+                if len(pump)
             },
-            "peer_busy": sorted(p for p, b in self._peer_busy.items() if b),
+            "peer_busy": sorted(p for p, pump in self._peer_pumps.items()
+                                if pump.busy),
         })
         return s

@@ -169,3 +169,36 @@ def test_healthy_chain_is_not_flagged_by_source_analysis():
         and "PartialBatchAck" not in f.message
     ]
     assert bad == [], "\n".join(f.message for f in bad)
+
+
+# ---------------------------------------------------------------------------
+# pump following: a driver runs the bound issue callable
+# ---------------------------------------------------------------------------
+_PUMPED_EARLY_ACK = '''\
+from repro.core.controlet import Controlet, Pump
+
+
+class PumpedAckControlet(Controlet):
+    def __init__(self):
+        self._writes = Pump(self._issue_write)
+        self.register("put", self._on_put)
+
+    def _on_put(self, msg):
+        self._writes.push(msg)
+
+    def _issue_write(self, msg, done):
+        self.respond(msg, "ok")  # BUG: acked before the datalet write
+        self.datalet_call("put", dict(msg.payload),
+                          callback=lambda resp, err: done())
+'''
+
+
+def test_ack_inside_pump_issue_callable_is_flagged():
+    """The handler only pushes; the ack lives in the issue callable the
+    pump runs.  The tracer must follow ``self.<pump>.push`` into it."""
+    findings = analyze_sources([("pumped.py", _PUMPED_EARLY_ACK)])
+    hits = [f for f in findings
+            if f.rule == "ack-before-durable" and not f.suppressed]
+    assert len(hits) == 1, "\n".join(f.describe() for f in findings)
+    assert hits[0].line == 13  # the respond inside _issue_write
+    assert "PumpedAckControlet [put]" in hits[0].message

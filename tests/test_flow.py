@@ -90,6 +90,65 @@ def test_pump_double_kick_is_harmless():
     assert issued == ["a"]  # busy flag rejects reentry, no double issue
 
 
+def test_pump_batch_hands_out_up_to_n_items():
+    issued = []
+    dones = []
+
+    def issue(items, done):
+        issued.append(items)
+        dones.append(done)
+
+    pump = Pump(issue, batch=2)
+    pump.push("x")  # in flight: the next five pushes queue behind it
+    for item in "abcde":
+        pump.push(item)
+    assert issued == [["x"]]
+    for i in range(4):
+        dones[i]()
+    assert issued == [["x"], ["a", "b"], ["c", "d"], ["e"]]
+    assert not pump.busy and len(pump) == 0
+
+
+def test_pump_done_without_drain_frees_the_slot():
+    issued = []
+    dones = []
+
+    def issue(item, done):
+        issued.append(item)
+        dones.append(done)
+
+    pump = Pump(issue)
+    pump.push("a")
+    pump.push("b")
+    dones[0](drain=False)
+    # released but not drained: "b" waits for a kick
+    assert issued == ["a"] and not pump.busy and len(pump) == 1
+    pump.kick()
+    assert issued == ["a", "b"] and pump.busy
+    dones[1](drain=False)
+    pump.push("c")  # idle pump: a push issues at once
+    assert issued == ["a", "b", "c"]
+
+
+def test_pump_late_kick_never_releases_a_newer_item():
+    issued = []
+    dones = []
+
+    def issue(item, done):
+        issued.append(item)
+        dones.append(done)
+
+    pump = Pump(issue)
+    pump.push("a")
+    dones[0](drain=False)
+    pump.push("b")  # in flight while "a"'s issue still processes results
+    pump.push("c")
+    pump.kick()  # the older issue re-enters the drain late
+    assert issued == ["a", "b"] and pump.busy and len(pump) == 1
+    dones[1]()
+    assert issued == ["a", "b", "c"]
+
+
 # ---------------------------------------------------------------------------
 # the real tree is clean
 # ---------------------------------------------------------------------------
