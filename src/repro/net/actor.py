@@ -48,10 +48,10 @@ Reply = Callable[[Optional[Message], Optional[BespoError]], None]
 
 
 class _Pending:
-    __slots__ = ("callback", "timer", "ctx", "span")
+    __slots__ = ("callback", "timer", "ctx", "span", "dst", "type")
 
     def __init__(self, callback: Reply, timer: Any, ctx: Any = None,
-                 span: Any = None):
+                 span: Any = None, dst: str = "", type: str = ""):
         self.callback = callback
         self.timer = timer
         #: caller's RequestContext at call time, restored around the
@@ -60,6 +60,9 @@ class _Pending:
         self.ctx = ctx
         #: open ``rpc:*`` span when a SpanRecorder is attached.
         self.span = span
+        #: callee and request type, for the timeout error.
+        self.dst = dst
+        self.type = type
 
 
 class Actor:
@@ -174,8 +177,8 @@ class Actor:
                 msg.ctx = ctx.child(span.span_id)
             timer = None
             if timeout is not None:
-                timer = self.set_timer(timeout, lambda: self._expire(msg.msg_id, dst, type))
-            self._pending[msg.msg_id] = _Pending(callback, timer, ctx, span)
+                timer = self.set_timer(timeout, lambda: self._expire_call(msg.msg_id))
+            self._pending[msg.msg_id] = _Pending(callback, timer, ctx, span, dst, type)
         self._transmit(msg)
         return msg
 
@@ -195,10 +198,24 @@ class Actor:
         )
         self._transmit(fwd)
 
-    def _expire(self, msg_id: int, dst: str, type: str) -> None:
+    def expire_calls(self) -> None:
+        """Time out every outstanding call, in issue order.  The
+        transport runs this when a frozen process thaws: replies sent
+        while it was down were dropped, and so were timeout timers that
+        fired meanwhile (:meth:`set_timer`), so without it each such
+        continuation — and any pump waiting on it — would hang forever.
+        Calls issued by the callbacks themselves are left alone."""
+        for msg_id in list(self._pending):
+            pending = self._pending.get(msg_id)
+            if pending is not None and pending.timer is not None:
+                pending.timer.cancel()
+            self._expire_call(msg_id)
+
+    def _expire_call(self, msg_id: int) -> None:
         pending = self._pending.pop(msg_id, None)
         if pending is None:
             return
+        dst, type = pending.dst, pending.type
         if pending.span is not None:
             self._obs.end(pending.span, "timeout")
         if pending.ctx is not None:

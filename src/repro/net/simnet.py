@@ -421,7 +421,10 @@ class SimCluster:
         colocated actor re-runs its start hooks (``on_restart``).  The
         actors keep their in-memory state — a restart models a process
         that froze and thawed, so protocol code must *fence* itself
-        until it has confirmed its role is still valid."""
+        until it has confirmed its role is still valid.  Calls a thawed
+        actor still has outstanding time out first
+        (:meth:`~repro.net.actor.Actor.expire_calls`): their replies and
+        timeout timers were lost while it was down."""
         h = self._hosts.get(host)
         if h is None:
             raise BespoError(f"unknown host {host!r}")
@@ -432,7 +435,12 @@ class SimCluster:
             actor = self._actors[node_id]
             if not actor.alive:
                 actor.alive = True
-                self.sim.call_soon(actor.on_restart)
+                self.sim.call_soon(self._thaw, actor)
+
+    @staticmethod
+    def _thaw(actor: Actor) -> None:
+        actor.expire_calls()
+        actor.on_restart()
 
     def set_host_slowdown(self, host: str, factor: float) -> None:
         """Degrade (or restore, with factor=1) a host's CPU service rate
